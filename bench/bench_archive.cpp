@@ -110,8 +110,8 @@ int main(int argc, char** argv) {
   const std::size_t edge =
       argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 192;
 
-  // Record across the whole run: every archive.* / harness.* / chunked.*
-  // span the store path emits lands in the JSON next to the gauge table.
+  // Record across the whole run: every archive.* / harness.* span the
+  // store path emits lands in the JSON next to the gauge table.
   obs::ScopedRecording rec;
   obs::reset();
   Timer total_wall;

@@ -11,7 +11,7 @@
 // Usage: bench_serve [out.json] [edge] [reqs_per_client]
 //   out.json         output path (default BENCH_PR9_serve.json)
 //   edge             field edge; dataset is (4*edge x edge x edge) float32
-//                    (default 64 => 64 MB served dataset)
+//                    (default 64 => 256x64x64 = 4 MiB served dataset)
 //   reqs_per_client  requests each client issues per cell (default 50)
 #include <sys/stat.h>
 

@@ -7,6 +7,7 @@
 #include "bench_util.h"
 #include "core/transformed.h"
 #include "data/generators.h"
+#include "obs/obs.h"
 
 using namespace transpwr;
 
@@ -23,21 +24,28 @@ int main() {
   std::printf("%-28s | %6s %6s %6s | %6s %6s %6s\n", "stage", "2", "e", "10",
               "2", "e", "10");
 
+  // The stage times are the transform's own obs spans.
+  auto span_seconds = [](const char* path) {
+    for (const auto& [p, stat] : obs::snapshot().spans)
+      if (p == path) return stat.seconds;
+    return 0.0;
+  };
   double pre[2][3], post[2][3];
   int fi = 0;
+  obs::ScopedRecording rec;
   for (const auto* f : {&dmd, &vx}) {
     int bi = 0;
     for (double base : bases) {
       TransformedParams p;
       p.rel_bound = 1e-3;
       p.log_base = base;
-      StageTimes ct{}, dt{};
+      obs::reset();
       auto stream = transformed_compress<float>(f->span(), f->dims,
-                                                InnerCodec::kSz, p, &ct);
-      auto out = transformed_decompress<float>(stream, nullptr, &dt);
+                                                InnerCodec::kSz, p);
+      auto out = transformed_decompress<float>(stream);
       (void)out;
-      pre[fi][bi] = ct.pre_seconds;
-      post[fi][bi] = dt.post_seconds;
+      pre[fi][bi] = span_seconds("transformed.compress/pre");
+      post[fi][bi] = span_seconds("transformed.decompress/post");
       ++bi;
     }
     ++fi;

@@ -1,6 +1,8 @@
 // Throughput trajectory bench: transform-only, SZ_T end-to-end (with
-// per-stage breakdown), chunked end-to-end, the standalone block-parallel
-// entropy stage at 1/2/4/8 threads on a >= 64 MB field, and per-kernel
+// per-stage breakdown read from the obs span registry), an in-memory TPAR
+// archive write + load with one chunk per thread (the "chunked" row), the
+// standalone block-parallel entropy stage at 1/2/4/8 threads on a >= 64 MB
+// field, and per-kernel
 // microbenches of the PR6 vectorized kernel layer. Emits machine-readable
 // BENCH_PR6.json through the obs stats registry so future PRs can diff
 // against this PR's numbers (BENCH_PR3.json carries the pre-registry
@@ -19,7 +21,6 @@
 
 #include "bench_util.h"
 #include "common/parallel.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/log_transform.h"
 #include "core/transformed.h"
@@ -29,7 +30,7 @@
 #include "kernels/zfp_lift.h"
 #include "lossless/blocked_huffman.h"
 #include "obs/obs.h"
-#include "parallel/chunked.h"
+#include "store/archive.h"
 
 using namespace transpwr;
 
@@ -58,16 +59,43 @@ double best_seconds(Fn&& fn) {
   return best;
 }
 
+/// Mean seconds per call of the spans whose path ends in `suffix` (whole
+/// path components), as recorded since the last obs::reset().
+double span_mean(const obs::Snapshot& snap, const std::string& suffix) {
+  double seconds = 0;
+  std::uint64_t count = 0;
+  for (const auto& [path, stat] : snap.spans) {
+    if (path != suffix &&
+        !(path.size() > suffix.size() &&
+          path.compare(path.size() - suffix.size(), suffix.size(), suffix) ==
+              0 &&
+          path[path.size() - suffix.size() - 1] == '/'))
+      continue;
+    seconds += stat.seconds;
+    count += stat.count;
+  }
+  return count ? seconds / static_cast<double>(count) : 0;
+}
+
+/// Per-stage attribution of the inner SZ codec, per call.
+struct Stages {
+  double predict_s = 0;         ///< prediction + quantization sweep
+  double histogram_s = 0;       ///< entropy histogram + table build
+  double encode_s = 0;          ///< block-parallel entropy encode (+ gated LZ)
+  double entropy_decode_s = 0;  ///< block-parallel entropy decode
+  double reconstruct_s = 0;     ///< prediction-driven reconstruction
+};
+
 struct Run {
   std::size_t threads = 0;
   double transform_fwd_s = 0;
   double transform_inv_s = 0;
   double szt_compress_s = 0;
   double szt_decompress_s = 0;
+  // In-memory TPAR archive write / load, one chunk per thread.
   double chunked_compress_s = 0;
   double chunked_decompress_s = 0;
-  // Per-stage attribution of the inner SZ codec (from the last timed rep).
-  sz::StageStats stages;
+  Stages stages;
   // Standalone blocked entropy stage over a synthetic quant-code stream.
   double entropy_encode_s = 0;
   double entropy_decode_s = 0;
@@ -80,7 +108,7 @@ int main(int argc, char** argv) {
   const std::size_t edge =
       argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 256;
 
-  bench::print_header("Throughput: transform / SZ_T / chunked / entropy");
+  bench::print_header("Throughput: transform / SZ_T / archive / entropy");
 
   // Pre-spawn the shared pool before anything timed: the global pool's
   // workers are created lazily on first parallel_for, and in BENCH_PR3 that
@@ -127,28 +155,41 @@ int main(int argc, char** argv) {
     tp.rel_bound = 1e-3;
     tp.threads = threads;
     std::vector<std::uint8_t> szt_stream;
-    StageTimes times;
-    r.szt_compress_s = best_seconds([&] {
-      szt_stream = transformed_compress<float>(f.values, f.dims,
-                                               InnerCodec::kSz, tp, &times);
-    });
-    sz::StageStats stages = times.inner;  // compress-side stages
-    r.szt_decompress_s = best_seconds([&] {
-      transformed_decompress<float>(szt_stream, nullptr, &times, threads);
-    });
-    stages.entropy_decode_s = times.inner.entropy_decode_s;
-    stages.reconstruct_s = times.inner.reconstruct_s;
-    r.stages = stages;
+    {
+      // Stage times come from the spans of the same reps.
+      obs::ScopedRecording rec;
+      obs::reset();
+      r.szt_compress_s = best_seconds([&] {
+        szt_stream = transformed_compress<float>(f.values, f.dims,
+                                                 InnerCodec::kSz, tp);
+      });
+      r.szt_decompress_s = best_seconds([&] {
+        transformed_decompress<float>(szt_stream, nullptr, threads);
+      });
+      const obs::Snapshot snap = obs::snapshot();
+      r.stages.predict_s = span_mean(snap, "sz.compress/predict");
+      r.stages.histogram_s =
+          span_mean(snap, "sz.compress/entropy_encode/histogram");
+      r.stages.encode_s = span_mean(snap, "sz.compress/entropy_encode") -
+                          r.stages.histogram_s;
+      r.stages.entropy_decode_s =
+          span_mean(snap, "sz.decompress/entropy_decode");
+      r.stages.reconstruct_s = span_mean(snap, "sz.decompress/reconstruct");
+    }
 
-    chunked::Params cp;
-    cp.scheme = Scheme::kSzT;
-    cp.compressor.bound = 1e-3;
-    cp.threads = threads;
-    std::vector<std::uint8_t> chunked_stream;
-    r.chunked_compress_s = best_seconds(
-        [&] { chunked_stream = chunked::compress<float>(f.span(), f.dims, cp); });
-    r.chunked_decompress_s = best_seconds(
-        [&] { chunked::decompress<float>(chunked_stream, nullptr, threads); });
+    store::DatasetOptions opts;
+    opts.params.bound = 1e-3;
+    opts.threads = threads;
+    opts.rows_per_chunk = (f.dims[0] + threads - 1) / threads;
+    std::vector<std::uint8_t> archive;
+    r.chunked_compress_s = best_seconds([&] {
+      store::ArchiveWriter w(&archive);
+      w.add_dataset<float>("field", f.span(), f.dims, opts);
+      w.finish();
+    });
+    r.chunked_decompress_s = best_seconds([&] {
+      store::ArchiveReader(archive).load<float>("field", nullptr, threads);
+    });
 
     std::vector<std::uint8_t> entropy_stream;
     r.entropy_encode_s = best_seconds([&] {
@@ -160,7 +201,7 @@ int main(int argc, char** argv) {
     std::printf(
         "t=%zu: fwd %.2f GB/s  inv %.2f GB/s | szt %.3f/%.3f s "
         "(predict %.3f hist %.3f enc %.3f | edec %.3f recon %.3f) | "
-        "chunked %.3f/%.3f s | entropy %.2f/%.2f GB/s\n",
+        "archive %.3f/%.3f s | entropy %.2f/%.2f GB/s\n",
         threads, gbs(bytes, r.transform_fwd_s), gbs(bytes, r.transform_inv_s),
         r.szt_compress_s, r.szt_decompress_s, r.stages.predict_s,
         r.stages.histogram_s, r.stages.encode_s, r.stages.entropy_decode_s,
@@ -168,21 +209,6 @@ int main(int argc, char** argv) {
         gbs(code_bytes, r.entropy_encode_s),
         gbs(code_bytes, r.entropy_decode_s));
     runs.push_back(r);
-  }
-
-  // What every chunked call paid before the shared pool: spawn + join of a
-  // fresh per-call ThreadPool.
-  std::vector<std::pair<std::size_t, double>> spawn_us;
-  for (std::size_t threads : {2u, 4u, 8u}) {
-    const int calls = 200;
-    Timer t;
-    for (int i = 0; i < calls; ++i) {
-      ThreadPool pool(threads);
-      pool.parallel_for(threads, [](std::size_t, std::size_t) {});
-    }
-    spawn_us.emplace_back(threads, 1e6 * t.seconds() / calls);
-    std::printf("per-call pool spawn+join t=%zu: %.1f us\n", threads,
-                spawn_us.back().second);
   }
 
   // --- per-kernel rates (single-threaded): raw throughput of the PR6
@@ -255,7 +281,7 @@ int main(int argc, char** argv) {
     }
     {
       Timer t;
-      transformed_decompress<float>(stream, nullptr, nullptr, 1);
+      transformed_decompress<float>(stream, nullptr, 1);
       stats_decompress_wall = t.seconds();
     }
 
@@ -321,8 +347,6 @@ int main(int argc, char** argv) {
       obs::gauge_set(p + "entropy_decode_gbs",
                      gbs(code_bytes, r.entropy_decode_s));
     }
-    for (const auto& [threads, us] : spawn_us)
-      obs::gauge_set("pool_spawn_us.t" + std::to_string(threads), us);
     obs::gauge_set("entropy_code_bytes", code_bytes);
     obs::gauge_set("field_bytes", bytes);
 

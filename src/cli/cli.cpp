@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <optional>
 
 #include "common/bytestream.h"
 #include "common/decode_guard.h"
@@ -18,7 +19,6 @@
 #include "core/temporal.h"
 #include "metrics/metrics.h"
 #include "obs/obs.h"
-#include "parallel/chunked.h"
 #include "query/query.h"
 #include "query/query_json.h"
 #include "server/server.h"
@@ -89,84 +89,6 @@ Field<float> generate(const Args& a) {
   }
   throw ParamError("unknown workload: " + a.workload +
                    " (expected hacc|cesm|nyx|hurricane)");
-}
-
-template <typename T>
-int do_compress(const Args& a) {
-  Dims dims = a.dims.value();
-  auto data = load_field<T>(a.input, dims);
-  chunked::Params p;
-  p.scheme = a.scheme;
-  p.compressor.bound = a.bound;
-  p.compressor.log_base = a.log_base;
-  p.threads = a.threads;
-  p.num_chunks = a.chunks;
-  Timer t;
-  auto stream = chunked::compress<T>(data, dims, p);
-  double secs = t.seconds();
-  io::write_bytes(a.output, stream);
-  double mb = static_cast<double>(data.size() * sizeof(T)) / (1 << 20);
-  std::printf("%s: %s %s -> %zu bytes, ratio %.3f, %.1f MB/s\n",
-              scheme_name(a.scheme), dims.to_string().c_str(),
-              a.dtype == DataType::kFloat32 ? "f32" : "f64", stream.size(),
-              compression_ratio(data.size() * sizeof(T), stream.size()),
-              secs > 0 ? mb / secs : 0.0);
-  return 0;
-}
-
-template <typename T>
-int do_decompress(const Args& a) {
-  auto stream = io::read_bytes(a.input);
-  Dims dims;
-  Timer t;
-  auto data = chunked::decompress<T>(stream, &dims, a.threads);
-  double secs = t.seconds();
-  io::write_bytes(a.output,
-                  {reinterpret_cast<const std::uint8_t*>(data.data()),
-                   data.size() * sizeof(T)});
-  double mb = static_cast<double>(data.size() * sizeof(T)) / (1 << 20);
-  std::printf("decompressed %s -> %zu values (%s), %.1f MB/s\n",
-              a.input.c_str(), data.size(), dims.to_string().c_str(),
-              secs > 0 ? mb / secs : 0.0);
-  return 0;
-}
-
-int do_info(const Args& a) {
-  auto stream = io::read_bytes(a.input);
-  ByteReader in(stream);
-  auto magic = in.get<std::uint32_t>();
-  if (magic == 0x31525354) {  // series container
-    auto count = in.get<std::uint32_t>();
-    std::printf("container: transpwr series v1\n");
-    std::printf("snapshots: %u\n", count);
-    std::printf("size:      %zu bytes\n", stream.size());
-    return 0;
-  }
-  if (magic != 0x314B4843) {
-    std::printf("%s: not a transpwr container\n", a.input.c_str());
-    return 1;
-  }
-  auto dtype = static_cast<DataType>(in.get<std::uint8_t>());
-  auto scheme = static_cast<Scheme>(in.get<std::uint8_t>());
-  int nd = in.get<std::uint8_t>();
-  in.get<std::uint8_t>();
-  Dims dims;
-  dims.nd = nd;
-  for (int i = 0; i < 3; ++i)
-    dims.d[static_cast<std::size_t>(i)] =
-        static_cast<std::size_t>(in.get<std::uint64_t>());
-  auto slabs = in.get<std::uint32_t>();
-  std::printf("container: transpwr chunked v1\n");
-  std::printf("scheme:    %s\n", scheme_name(scheme));
-  std::printf("dtype:     %s\n",
-              dtype == DataType::kFloat32 ? "float32" : "float64");
-  std::printf("dims:      %s (%zu values)\n", dims.to_string().c_str(),
-              dims.count());
-  std::printf("slabs:     %u\n", slabs);
-  std::printf("size:      %zu bytes (ratio %.3f vs raw)\n", stream.size(),
-              compression_ratio(dims.count() * size_of(dtype),
-                                stream.size()));
-  return 0;
 }
 
 int do_gen(const Args& a) {
@@ -267,17 +189,20 @@ int do_archive_ls(const Args& a) {
   return 0;
 }
 
+/// Resolve --dataset, defaulting to the archive's only dataset.
+std::string pick_dataset(const Args& a, const store::ArchiveReader& reader) {
+  if (!a.dataset.empty()) return a.dataset;
+  if (reader.datasets().size() != 1)
+    throw ParamError("archive has " +
+                     std::to_string(reader.datasets().size()) +
+                     " datasets; pick one with --dataset NAME");
+  return reader.datasets().front().name;
+}
+
 template <typename T>
 int do_archive_extract(const Args& a) {
   store::ArchiveReader reader(a.input);
-  std::string name = a.dataset;
-  if (name.empty()) {
-    if (reader.datasets().size() != 1)
-      throw ParamError("archive has " +
-                       std::to_string(reader.datasets().size()) +
-                       " datasets; pick one with --dataset NAME");
-    name = reader.datasets().front().name;
-  }
+  const std::string name = pick_dataset(a, reader);
   Timer t;
   Dims dims;
   std::vector<T> data =
@@ -313,6 +238,15 @@ int do_archive_verify(const Args& a) {
               a.input.c_str(), reader.datasets().size(), chunks,
               static_cast<unsigned long long>(bytes));
   return 0;
+}
+
+/// compress is archive create of its one input (the dataset is named
+/// after the input's stem); decompress is archive extract.
+template <typename T>
+int do_compress(const Args& a) {
+  Args single = a;
+  single.inputs = {a.input};
+  return do_archive_create<T>(single);
 }
 
 int do_archive(const Args& a) {
@@ -441,15 +375,40 @@ int do_unseries(const Args& a) {
   return 0;
 }
 
-/// Resolve --dataset, defaulting to the archive's only dataset (the same
-/// convention as archive extract).
-std::string pick_dataset(const Args& a, const store::ArchiveReader& reader) {
-  if (!a.dataset.empty()) return a.dataset;
-  if (reader.datasets().size() != 1)
-    throw ParamError("archive has " +
-                     std::to_string(reader.datasets().size()) +
-                     " datasets; pick one with --dataset NAME");
-  return reader.datasets().front().name;
+/// Describe a file: an archive dataset's directory entry, or a series
+/// container's snapshot count. Anything else exits 1.
+int do_info(const Args& a) {
+  std::optional<store::ArchiveReader> reader;
+  try {
+    reader.emplace(a.input);
+  } catch (const StreamError& e) {
+    auto bytes = io::read_bytes(a.input);
+    ByteReader in(bytes);
+    if (bytes.size() >= 8 && in.get<std::uint32_t>() == kSeriesMagic) {
+      std::printf("container: transpwr series v1\n");
+      std::printf("snapshots: %u\n", in.get<std::uint32_t>());
+      std::printf("size:      %zu bytes\n", bytes.size());
+      return 0;
+    }
+    std::printf("%s: not a transpwr container (%s)\n", a.input.c_str(),
+                e.what());
+    return 1;
+  }
+  const auto& ds = reader->dataset(pick_dataset(a, *reader));
+  const std::uint64_t compressed = ds.compressed_bytes();
+  std::printf("container: transpwr archive v%u\n", reader->version());
+  std::printf("dataset:   %s\n", ds.name.c_str());
+  std::printf("scheme:    %s\n", scheme_name(ds.scheme));
+  std::printf("dtype:     %s\n",
+              ds.dtype == DataType::kFloat32 ? "float32" : "float64");
+  std::printf("dims:      %s (%zu values)\n", ds.dims.to_string().c_str(),
+              ds.dims.count());
+  std::printf("chunks:    %zu\n", ds.chunks.size());
+  std::printf("size:      %llu bytes (ratio %.3f vs raw)\n",
+              static_cast<unsigned long long>(compressed),
+              compression_ratio(ds.dims.count() * size_of(ds.dtype),
+                                compressed));
+  return 0;
 }
 
 int do_query(const Args& a) {
@@ -588,6 +547,9 @@ const char* usage() {
       "                      ARCHIVE\n"
       "  transpwr serve      [--port N] [--http-port N] [--no-http]\n"
       "                      [--bind-all] [--threads N] DIR\n"
+      "\n"
+      "compress writes a one-dataset TPAR archive (archive create of IN);\n"
+      "decompress and info read such an archive's only dataset.\n"
       "\n"
       "query answers from the per-chunk summary blocks a v2 archive\n"
       "carries, decoding only chunks a summary cannot decide; CMP is one\n"
@@ -817,8 +779,8 @@ int dispatch(const Args& a) {
     return a.dtype == DataType::kFloat32 ? do_compress<float>(a)
                                          : do_compress<double>(a);
   if (a.command == "decompress")
-    return a.dtype == DataType::kFloat32 ? do_decompress<float>(a)
-                                         : do_decompress<double>(a);
+    return a.dtype == DataType::kFloat32 ? do_archive_extract<float>(a)
+                                         : do_archive_extract<double>(a);
   if (a.command == "info") return do_info(a);
   if (a.command == "gen") return do_gen(a);
   if (a.command == "eval")

@@ -22,8 +22,7 @@ constexpr std::uint32_t kMagic = 0x31545254;  // "TRT1"
 template <typename T>
 std::vector<std::uint8_t> transformed_compress(std::span<const T> data,
                                                Dims dims, InnerCodec codec,
-                                               const TransformedParams& p,
-                                               StageTimes* times) {
+                                               const TransformedParams& p) {
   dims.validate();
   if (data.size() != dims.count())
     throw ParamError("transformed: data size does not match dims");
@@ -34,7 +33,7 @@ std::vector<std::uint8_t> transformed_compress(std::span<const T> data,
   TransformResult<T> tr;
   std::vector<std::uint8_t> sign_bytes;
   {
-    obs::Span pre_span("pre", times ? &times->pre_seconds : nullptr);
+    obs::Span pre_span("pre");
     tr = log_forward<T>(data, p.rel_bound, p.log_base, p.threads);
     if (!tr.negative.empty()) {
       BitWriter bw;
@@ -54,8 +53,7 @@ std::vector<std::uint8_t> transformed_compress(std::span<const T> data,
       sp.bound = tr.adjusted_abs_bound;
       sp.quant_intervals = p.quant_intervals;
       sp.threads = p.threads;
-      inner = sz::compress<T>(tr.mapped, dims, sp,
-                              times ? &times->inner : nullptr);
+      inner = sz::compress<T>(tr.mapped, dims, sp);
     } else if (codec == InnerCodec::kSzInterp) {
       sz_interp::Params ip;
       ip.bound = tr.adjusted_abs_bound;
@@ -88,8 +86,7 @@ std::vector<std::uint8_t> transformed_compress(std::span<const T> data,
 
 template <typename T>
 std::vector<T> transformed_decompress(std::span<const std::uint8_t> stream,
-                                      Dims* dims_out, StageTimes* times,
-                                      std::size_t threads) {
+                                      Dims* dims_out, std::size_t threads) {
   obs::Span root_span("transformed.decompress");
   ByteReader in(stream);
   if (in.get<std::uint32_t>() != kMagic)
@@ -119,8 +116,7 @@ std::vector<T> transformed_decompress(std::span<const std::uint8_t> stream,
   {
     obs::Span inner_span("inner");
     if (codec == InnerCodec::kSz)
-      mapped = sz::decompress<T>(inner, &dims, threads,
-                                 times ? &times->inner : nullptr);
+      mapped = sz::decompress<T>(inner, &dims, threads);
     else if (codec == InnerCodec::kSzInterp)
       mapped = sz_interp::decompress<T>(inner, &dims, threads);
     else
@@ -129,7 +125,7 @@ std::vector<T> transformed_decompress(std::span<const std::uint8_t> stream,
   if (dims_out) *dims_out = dims;
 
   // --- postprocessing: sign decompression + inverse map.
-  obs::Span post_span("post", times ? &times->post_seconds : nullptr);
+  obs::Span post_span("post");
   Bitmap negative;
   if (has_signs) {
     auto raw = lossless::decompress(sign_bytes, threads);
@@ -142,14 +138,12 @@ std::vector<T> transformed_decompress(std::span<const std::uint8_t> stream,
 }
 
 template std::vector<std::uint8_t> transformed_compress<float>(
-    std::span<const float>, Dims, InnerCodec, const TransformedParams&,
-    StageTimes*);
+    std::span<const float>, Dims, InnerCodec, const TransformedParams&);
 template std::vector<std::uint8_t> transformed_compress<double>(
-    std::span<const double>, Dims, InnerCodec, const TransformedParams&,
-    StageTimes*);
+    std::span<const double>, Dims, InnerCodec, const TransformedParams&);
 template std::vector<float> transformed_decompress<float>(
-    std::span<const std::uint8_t>, Dims*, StageTimes*, std::size_t);
+    std::span<const std::uint8_t>, Dims*, std::size_t);
 template std::vector<double> transformed_decompress<double>(
-    std::span<const std::uint8_t>, Dims*, StageTimes*, std::size_t);
+    std::span<const std::uint8_t>, Dims*, std::size_t);
 
 }  // namespace transpwr

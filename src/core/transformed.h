@@ -7,7 +7,6 @@
 
 #include "common/types.h"
 #include "core/log_transform.h"
-#include "sz/sz.h"
 
 namespace transpwr {
 
@@ -24,27 +23,20 @@ struct TransformedParams {
   std::size_t threads = 0;  ///< transform-stage workers; 0 => hardware
 };
 
-/// Timing breakdown of the transform stages (paper Table III).
-struct StageTimes {
-  double pre_seconds = 0;   ///< forward log map + sign compression
-  double post_seconds = 0;  ///< inverse map + sign decompression
-  /// Per-stage breakdown of the inner codec; only filled when the inner
-  /// codec is kSz (the paper's SZ_T configuration).
-  sz::StageStats inner;
-};
-
+/// The transform stages (paper Table III) are recorded as obs spans:
+/// "transformed.compress/pre" (forward log map + sign compression) and
+/// "transformed.decompress/post" (inverse map + sign decompression), each
+/// beside an "inner" span for the inner codec.
 template <typename T>
 std::vector<std::uint8_t> transformed_compress(std::span<const T> data,
                                                Dims dims, InnerCodec codec,
-                                               const TransformedParams& p,
-                                               StageTimes* times = nullptr);
+                                               const TransformedParams& p);
 
 /// `threads` controls the inverse-transform stage; 0 => hardware
 /// concurrency.
 template <typename T>
 std::vector<T> transformed_decompress(std::span<const std::uint8_t> stream,
                                       Dims* dims_out = nullptr,
-                                      StageTimes* times = nullptr,
                                       std::size_t threads = 0);
 
 }  // namespace transpwr

@@ -38,15 +38,14 @@ std::size_t entropy_block_symbols() {
 
 std::vector<std::uint8_t> blocked_encode(std::span<const std::uint32_t> symbols,
                                          std::uint32_t alphabet,
-                                         std::size_t threads,
-                                         BlockedStats* stats) {
+                                         std::size_t threads) {
   const std::size_t block = entropy_block_symbols();
   const std::size_t nblocks = block_count_for(symbols.size(), block);
 
   HuffmanCoder huff;
   std::vector<std::uint8_t> table;
   {
-    obs::Span hist_span("histogram", stats ? &stats->histogram_s : nullptr);
+    obs::Span hist_span("histogram");
     huff.build_from(symbols, alphabet, threads);
     BitWriter table_bw;
     huff.write_table(table_bw);
@@ -56,7 +55,7 @@ std::vector<std::uint8_t> blocked_encode(std::span<const std::uint32_t> symbols,
 
   ByteWriter out;
   {
-    obs::Span enc_span("encode", stats ? &stats->encode_s : nullptr);
+    obs::Span enc_span("encode");
     std::vector<std::vector<std::uint8_t>> subs(nblocks);
     ParallelOptions opts;
     opts.max_threads = threads;

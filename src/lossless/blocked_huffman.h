@@ -24,12 +24,6 @@ namespace lossless {
 ///   u32 block count, sized code-length table, u64 substream byte size per
 ///   block, concatenated substreams.
 
-/// Optional per-stage timing filled by blocked_encode.
-struct BlockedStats {
-  double histogram_s = 0;  ///< frequency pass + canonical table build
-  double encode_s = 0;     ///< parallel block encode + concatenation
-};
-
 /// Symbols per block: `TRANSPWR_ENTROPY_BLOCK` (env var, clamped to
 /// [4096, 2^24]) when set, else 1 << 17. Read once per process.
 std::size_t entropy_block_symbols();
@@ -38,8 +32,7 @@ std::size_t entropy_block_symbols();
 /// default_threads(); any thread count produces identical bytes.
 std::vector<std::uint8_t> blocked_encode(std::span<const std::uint32_t> symbols,
                                          std::uint32_t alphabet,
-                                         std::size_t threads = 0,
-                                         BlockedStats* stats = nullptr);
+                                         std::size_t threads = 0);
 
 /// Decode a blocked_encode stream back to the symbol vector.
 std::vector<std::uint32_t> blocked_decode(std::span<const std::uint8_t> stream,

@@ -154,10 +154,7 @@ void gauge_set(std::string_view name, double value) {
                    std::memory_order_relaxed);
 }
 
-Span::Span(std::string_view name, double* sink)
-    : sink_(sink),
-      timing_(sink != nullptr || enabled()),
-      recording_(enabled()) {
+Span::Span(std::string_view name) : recording_(enabled()) {
   if (recording_) {
     parent_ = tl_current_span;
     if (parent_) {
@@ -171,7 +168,7 @@ Span::Span(std::string_view name, double* sink)
     tl_current_span = this;
   }
   // The clock is read unconditionally so seconds() is meaningful even on a
-  // span that neither sinks nor records (callers use it for throttling).
+  // span that does not record (callers use it for throttling).
   start_ = clock::now();
 }
 
@@ -180,20 +177,15 @@ double Span::seconds() const {
 }
 
 Span::~Span() {
-  if (!timing_) return;
+  if (!recording_) return;
   auto dur = clock::now() - start_;
-  double secs = std::chrono::duration<double>(dur).count();
-  if (sink_) *sink_ = secs;
-  if (recording_) {
-    SpanNode* node = span_node(path_);
-    node->nanos.fetch_add(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(dur)
-                .count()),
-        std::memory_order_relaxed);
-    node->count.fetch_add(1, std::memory_order_relaxed);
-    tl_current_span = parent_;
-  }
+  SpanNode* node = span_node(path_);
+  node->nanos.fetch_add(
+      static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(dur).count()),
+      std::memory_order_relaxed);
+  node->count.fetch_add(1, std::memory_order_relaxed);
+  tl_current_span = parent_;
 }
 
 Snapshot snapshot() {

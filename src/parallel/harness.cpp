@@ -186,7 +186,7 @@ RunResult run(const RunConfig& cfg, const std::vector<Field<float>>& shards) {
 
   // Rank bodies synchronise through `sync`, so all of them must be live at
   // once — run_concurrent gives each a dedicated thread, so every rank's
-  // nested parallelism (chunked slabs, log transform) fans out over the
+  // nested parallelism (archive chunks, log transform) fans out over the
   // shared pool identically and per-rank timings stay comparable.
   run_concurrent(cfg.ranks, body);
   if (failed) throw StreamError("parallel::run: a rank failed");

@@ -319,50 +319,50 @@ void ArchiveWriter::check_new_name(const std::string& name) const {
       throw ParamError("archive: duplicate dataset name " + name);
 }
 
-template <typename T>
-void ArchiveWriter::add_dataset(const std::string& name,
-                                std::span<const T> data, Dims dims,
-                                const DatasetOptions& opts) {
-  require_usable("add_dataset");
-  check_new_name(name);
-  dims.validate();
-  if (data.size() != dims.count())
-    throw ParamError("archive: data size does not match dims");
-  obs::Span root_span("archive.add_dataset");
+/// The dataset being streamed by begin_dataset/append_rows/end_dataset.
+/// Chunk tasks on the shared pool publish their results here under `mu`;
+/// the writer thread consumes them strictly in chunk order.
+struct ArchiveWriter::OpenDataset {
+  DatasetInfo info;  // chunks and summaries fill in as chunks are written
+  DatasetOptions opts;
+  std::size_t row_elems = 0;
+  std::size_t rows_per_chunk = 0;
+  std::size_t rows_seen = 0;
+  std::size_t max_buffered = 1;  // buffered chunks allowed in flight
+  std::size_t submitted = 0;     // chunks handed to the pool
+  std::size_t written = 0;       // chunks appended to the archive
+  // The rows of the next chunk while it is incomplete: a std::vector<T>.
+  std::shared_ptr<void> partial;
+  std::size_t partial_rows = 0;
 
-  const std::size_t rows = dims[0];
-  const std::size_t row_elems = dims.count() / rows;
-  const std::size_t threads = resolve_threads(opts.threads);
-  std::size_t per = opts.rows_per_chunk
-                        ? std::min(opts.rows_per_chunk, rows)
-                        : (rows + std::min(threads, rows) - 1) /
-                              std::min(threads, rows);
-  const std::size_t nchunks = (rows + per - 1) / per;
-
-  // Fan the chunk compressions out over the shared pool; the writer thread
-  // appends chunk i the moment it is done, pipelined with chunks > i still
-  // compressing. Tasks only touch locals guarded by `mu`, and every task
-  // flags `done` even on failure, so the wait loop below always drains.
-  std::vector<std::vector<std::uint8_t>> streams(nchunks);
-  std::vector<ChunkSummary> summaries(nchunks);
-  std::vector<char> done(nchunks, 0);
   std::mutex mu;
   std::condition_variable cv;
-  std::exception_ptr err;
-  auto& pool = global_pool();
-  for (std::size_t i = 0; i < nchunks; ++i) {
-    pool.submit([&, i] {
+  std::vector<std::vector<std::uint8_t>> streams;  // per chunk, until written
+  std::vector<ChunkSummary> summaries;
+  std::vector<char> done;
+  std::exception_ptr err;  // first chunk task failure
+
+  std::size_t num_chunks() const { return done.size(); }
+  std::size_t chunk_rows(std::size_t i) const {
+    return std::min(rows_per_chunk,
+                    info.dims[0] - i * rows_per_chunk);
+  }
+
+  /// Compress chunk `submitted` from `rows` on the shared pool. `keep`
+  /// owns the rows when they are a buffered copy; otherwise the caller
+  /// must not return before the chunk is done.
+  template <typename T>
+  static void submit(const std::shared_ptr<OpenDataset>& self,
+                     std::span<const T> rows, std::shared_ptr<void> keep) {
+    const std::size_t i = self->submitted++;
+    global_pool().submit([self, i, rows, keep = std::move(keep)] {
       try {
-        const std::size_t begin = i * per;
-        const std::size_t count = std::min(per, rows - begin);
-        Dims cdims = dims;
-        cdims.d[0] = count;
-        auto comp = make_compressor(opts.scheme);
-        auto stream = comp->compress(
-            data.subspan(begin * row_elems, count * row_elems), cdims,
-            opts.params);
+        Dims cdims = self->info.dims;
+        cdims.d[0] = self->chunk_rows(i);
+        auto comp = make_compressor(self->opts.scheme);
+        auto stream = comp->compress(rows, cdims, self->opts.params);
         ChunkSummary summary;
-        if (opts.summaries) {
+        if (self->opts.summaries) {
           // Summaries describe what a reader will reconstruct, so decode
           // the stream we just wrote rather than summarizing the input:
           // query answers then match decompress-then-scan bit-for-bit.
@@ -373,62 +373,197 @@ void ArchiveWriter::add_dataset(const std::string& name,
             rec = comp->decompress_f64(stream, nullptr);
           summary = summarize_values<T>(std::span<const T>(rec));
         }
-        std::lock_guard<std::mutex> lock(mu);
-        streams[i] = std::move(stream);
-        summaries[i] = summary;
-        done[i] = 1;
-        cv.notify_all();
+        std::lock_guard<std::mutex> lock(self->mu);
+        self->streams[i] = std::move(stream);
+        self->summaries[i] = summary;
+        self->done[i] = 1;
+        self->cv.notify_all();
       } catch (...) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (!err) err = std::current_exception();
-        done[i] = 1;
-        cv.notify_all();
+        std::lock_guard<std::mutex> lock(self->mu);
+        if (!self->err) self->err = std::current_exception();
+        self->done[i] = 1;
+        self->cv.notify_all();
       }
     });
   }
+};
 
-  DatasetInfo info;
-  info.name = name;
-  info.dtype = data_type_of<T>();
-  info.scheme = opts.scheme;
-  info.dims = dims;
-  info.bound = opts.params.bound;
-  info.log_base = opts.params.log_base;
-  std::exception_ptr write_err;
-  for (std::size_t i = 0; i < nchunks; ++i) {
+void ArchiveWriter::require_no_open_dataset(const char* verb) const {
+  if (open_)
+    throw ParamError(std::string("archive: ") + verb + " while dataset " +
+                     open_->info.name + " is open");
+}
+
+template <typename T>
+void ArchiveWriter::begin_dataset(const std::string& name, Dims dims,
+                                  const DatasetOptions& opts) {
+  require_usable("begin_dataset");
+  require_no_open_dataset("begin_dataset");
+  check_new_name(name);
+  dims.validate();
+
+  auto ds = std::make_shared<OpenDataset>();
+  ds->info.name = name;
+  ds->info.dtype = data_type_of<T>();
+  ds->info.scheme = opts.scheme;
+  ds->info.dims = dims;
+  ds->info.bound = opts.params.bound;
+  ds->info.log_base = opts.params.log_base;
+  ds->opts = opts;
+  const std::size_t rows = dims[0];
+  const std::size_t threads = std::min(resolve_threads(opts.threads), rows);
+  ds->row_elems = dims.count() / rows;
+  ds->rows_per_chunk = opts.rows_per_chunk
+                           ? std::min(opts.rows_per_chunk, rows)
+                           : (rows + threads - 1) / threads;
+  ds->max_buffered = threads;
+  const std::size_t nchunks =
+      (rows + ds->rows_per_chunk - 1) / ds->rows_per_chunk;
+  ds->streams.resize(nchunks);
+  ds->summaries.resize(nchunks);
+  ds->done.assign(nchunks, 0);
+  open_ = std::move(ds);
+}
+
+template <typename T>
+void ArchiveWriter::append_rows(std::span<const T> rows) {
+  require_usable("append_rows");
+  if (!open_) throw ParamError("archive: append_rows without begin_dataset");
+  OpenDataset& ds = *open_;
+  if (ds.info.dtype != data_type_of<T>())
+    throw ParamError("archive: append_rows data type does not match " +
+                     ds.info.name);
+  if (rows.size() % ds.row_elems != 0)
+    throw ParamError("archive: append_rows size must be whole rows");
+  const std::size_t n_rows = rows.size() / ds.row_elems;
+  if (n_rows > ds.info.dims[0] - ds.rows_seen)
+    throw ParamError("archive: more rows than dataset " + ds.info.name +
+                     " holds");
+  ds.rows_seen += n_rows;
+
+  std::size_t at = 0;  // rows of `rows` consumed
+  auto take = [&](std::size_t count) {
+    auto out = rows.subspan(at * ds.row_elems, count * ds.row_elems);
+    at += count;
+    return out;
+  };
+  // Top up a partial chunk first; once complete it compresses from the
+  // buffer, which its task then owns.
+  if (ds.partial_rows) {
+    auto& buf = *static_cast<std::vector<T>*>(ds.partial.get());
+    const std::size_t count = std::min(
+        ds.chunk_rows(ds.submitted) - ds.partial_rows, n_rows);
+    auto more = take(count);
+    buf.insert(buf.end(), more.begin(), more.end());
+    ds.partial_rows += count;
+    if (ds.partial_rows == ds.chunk_rows(ds.submitted)) {
+      OpenDataset::submit<T>(open_, std::span<const T>(buf),
+                             std::move(ds.partial));
+      ds.partial_rows = 0;
+    }
+  }
+  // Complete chunks compress straight from the caller's memory.
+  const std::size_t borrowed_from = ds.submitted;
+  while (ds.submitted < ds.num_chunks() &&
+         n_rows - at >= ds.chunk_rows(ds.submitted))
+    OpenDataset::submit<T>(open_, take(ds.chunk_rows(ds.submitted)), nullptr);
+  const bool borrowed = ds.submitted != borrowed_from;
+  if (at < n_rows) {
+    auto rest = take(n_rows - at);
+    auto buf = std::make_shared<std::vector<T>>();
+    buf->reserve(ds.chunk_rows(ds.submitted) * ds.row_elems);
+    buf->assign(rest.begin(), rest.end());
+    ds.partial_rows = rest.size() / ds.row_elems;
+    ds.partial = std::move(buf);
+  }
+  // Return only once no task reads `rows`; otherwise just bound the
+  // buffered chunks still in flight.
+  write_chunks(borrowed ? ds.submitted
+                        : ds.submitted - std::min(ds.submitted,
+                                                  ds.max_buffered));
+}
+
+std::size_t ArchiveWriter::rows_remaining() const {
+  return open_ ? open_->info.dims[0] - open_->rows_seen : 0;
+}
+
+void ArchiveWriter::write_chunks(std::size_t must) {
+  OpenDataset& ds = *open_;
+  std::exception_ptr err;
+  for (; ds.written < ds.submitted; ++ds.written) {
+    const std::size_t i = ds.written;
     std::vector<std::uint8_t> stream;
     {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return done[i] != 0; });
-      stream = std::move(streams[i]);
+      std::unique_lock<std::mutex> lock(ds.mu);
+      if (i >= must && !ds.done[i]) break;
+      ds.cv.wait(lock, [&] { return ds.done[i] != 0; });
+      if (ds.err) {
+        err = ds.err;
+        break;
+      }
+      stream = std::move(ds.streams[i]);
     }
-    if (err || write_err) continue;  // keep draining the remaining tasks
     ChunkInfo c;
-    c.rows = std::min(per, rows - i * per);
+    c.rows = ds.chunk_rows(i);
     c.offset = offset_;
     c.size = stream.size();
     c.checksum = fnv1a64(stream);
     try {
       append(stream);
     } catch (...) {
-      write_err = std::current_exception();
-      continue;
+      err = std::current_exception();
+      break;
     }
     obs::counter_add("archive.chunks_written");
     obs::counter_add("archive.bytes_written", c.size);
-    info.chunks.push_back(c);
+    ds.info.chunks.push_back(c);
   }
-  if (err || write_err) {
-    // Chunks may have been partially appended; the byte stream no longer
-    // matches any directory we could write, so the archive is abandoned.
-    failed_ = true;
-    std::rethrow_exception(err ? err : write_err);
+  if (!err) return;
+  // Chunks may have been partially appended; the byte stream no longer
+  // matches any directory we could write, so the archive is abandoned.
+  // Every submitted task must finish first: some may read caller memory.
+  {
+    std::unique_lock<std::mutex> lock(ds.mu);
+    ds.cv.wait(lock, [&] {
+      return std::all_of(ds.done.begin(),
+                         ds.done.begin() +
+                             static_cast<std::ptrdiff_t>(ds.submitted),
+                         [](char d) { return d != 0; });
+    });
   }
-  if (opts.summaries) {
-    obs::counter_add("archive.summary_chunks", nchunks);
-    info.summaries = std::move(summaries);
+  failed_ = true;
+  open_.reset();
+  std::rethrow_exception(err);
+}
+
+void ArchiveWriter::end_dataset() {
+  require_usable("end_dataset");
+  if (!open_) throw ParamError("archive: end_dataset without begin_dataset");
+  if (rows_remaining() != 0)
+    throw ParamError("archive: dataset " + open_->info.name +
+                     " incomplete (" + std::to_string(rows_remaining()) +
+                     " rows missing)");
+  write_chunks(open_->num_chunks());
+  DatasetInfo info = std::move(open_->info);
+  if (open_->opts.summaries) {
+    obs::counter_add("archive.summary_chunks", open_->num_chunks());
+    info.summaries = std::move(open_->summaries);
   }
+  open_.reset();
   directory_.push_back(std::move(info));
+}
+
+template <typename T>
+void ArchiveWriter::add_dataset(const std::string& name,
+                                std::span<const T> data, Dims dims,
+                                const DatasetOptions& opts) {
+  dims.validate();
+  if (data.size() != dims.count())
+    throw ParamError("archive: data size does not match dims");
+  obs::Span root_span("archive.add_dataset");
+  begin_dataset<T>(name, dims, opts);
+  append_rows<T>(data);
+  end_dataset();
 }
 
 void ArchiveWriter::add_compressed(const std::string& name, DataType dtype,
@@ -437,6 +572,7 @@ void ArchiveWriter::add_compressed(const std::string& name, DataType dtype,
                                    std::span<const std::uint8_t> stream,
                                    bool with_summary) {
   require_usable("add_compressed");
+  require_no_open_dataset("add_compressed");
   check_new_name(name);
   dims.validate();
   if (stream.empty()) throw ParamError("archive: empty compressed stream");
@@ -491,6 +627,7 @@ void ArchiveWriter::add_compressed(const std::string& name, DataType dtype,
 
 void ArchiveWriter::finish() {
   require_usable("finish");
+  require_no_open_dataset("finish");
   obs::Span root_span("archive.finish");
   auto footer = serialize_footer(directory_);
   ByteWriter trailer;
@@ -524,6 +661,12 @@ template void ArchiveWriter::add_dataset<float>(const std::string&,
 template void ArchiveWriter::add_dataset<double>(const std::string&,
                                                  std::span<const double>,
                                                  Dims, const DatasetOptions&);
+template void ArchiveWriter::begin_dataset<float>(const std::string&, Dims,
+                                                  const DatasetOptions&);
+template void ArchiveWriter::begin_dataset<double>(const std::string&, Dims,
+                                                   const DatasetOptions&);
+template void ArchiveWriter::append_rows<float>(std::span<const float>);
+template void ArchiveWriter::append_rows<double>(std::span<const double>);
 
 // --- ArchiveReader ----------------------------------------------------------
 

@@ -23,8 +23,8 @@ namespace store {
 /// index, no integrity check, and no way to read a subvolume back without
 /// decompressing a whole file. TPAR is the self-describing replacement: a
 /// head magic + version, then one or more *named datasets*, each stored as
-/// byte-aligned compressed chunks (the slabs of `chunked`, one scheme
-/// stream per chunk), then a footer holding the whole directory — names,
+/// byte-aligned compressed chunks (row slabs along the slowest dimension,
+/// one scheme stream per chunk), then a footer holding the whole directory — names,
 /// scheme/dtype/dims/params, and per chunk its row count, byte offset,
 /// size, and FNV-1a 64 checksum. The footer is written *last* and is
 /// itself checksummed, so a truncated or bit-rotted file is rejected with
@@ -102,10 +102,13 @@ struct DatasetOptions {
 /// appended as soon as it is compressed while later chunks are still in
 /// flight, so the writer streams instead of buffering a whole dataset.
 ///
-/// Finalization is crash-safe: bytes go to `<path>.part` and the file is
-/// renamed onto `path` only after the footer is flushed, so a crashed or
+/// Finalization guards against process crashes and torn files, not power
+/// loss: bytes go to `<path>.part` and the file is renamed onto `path`
+/// only after the footer is written and flushed to the OS, so a crashed or
 /// abandoned writer never leaves a readable-looking torn archive behind.
-/// Destroying an unfinished writer removes the partial file.
+/// Neither the file nor its directory is fsync'ed, so a power failure can
+/// still lose or truncate a freshly finished archive. Destroying an
+/// unfinished writer removes the partial file.
 class ArchiveWriter {
  public:
   /// Open `<path>.part` for writing; finish() renames it onto `path`.
@@ -116,12 +119,37 @@ class ArchiveWriter {
   ArchiveWriter(const ArchiveWriter&) = delete;
   ArchiveWriter& operator=(const ArchiveWriter&) = delete;
 
-  /// Compress `data` under `name` and append it as a chunked dataset.
+  /// Compress `data` under `name` and append it as a chunked dataset:
+  /// begin_dataset, one append_rows of the whole field, end_dataset.
   /// Throws ParamError on bad input and poisons the writer if a chunk
   /// fails to compress or write (the partial archive is unusable).
   template <typename T>
   void add_dataset(const std::string& name, std::span<const T> data,
                    Dims dims, const DatasetOptions& opts = {});
+
+  /// Streaming form of add_dataset for in-situ producers that emit a field
+  /// a few rows (slowest-dimension planes) at a time. Any sequence of
+  /// appends writes the same bytes as add_dataset of the whole field.
+  /// One dataset may be open at a time; add_dataset, add_compressed and
+  /// finish throw ParamError while it is.
+  template <typename T>
+  void begin_dataset(const std::string& name, Dims dims,
+                     const DatasetOptions& opts = {});
+
+  /// Append whole rows to the open dataset. Complete chunks are compressed
+  /// straight from `rows`; only a trailing partial chunk is copied. Returns
+  /// once no task still reads `rows`. Finished chunks are written as soon
+  /// as every earlier chunk is, and at most `threads` buffered chunks are
+  /// in flight, so memory stays at a few chunks.
+  template <typename T>
+  void append_rows(std::span<const T> rows);
+
+  /// Rows the open dataset still expects (0 when none is open).
+  std::size_t rows_remaining() const;
+
+  /// Wait for the remaining chunks, write them, and enter the dataset into
+  /// the directory. Throws ParamError if rows are still missing.
+  void end_dataset();
 
   /// Append an already-compressed scheme stream as a single-chunk dataset
   /// (the N-to-1 harness path: every rank compressed its own shard).
@@ -143,9 +171,15 @@ class ArchiveWriter {
   std::uint64_t bytes_written() const { return offset_; }
 
  private:
+  struct OpenDataset;
+
   void append(std::span<const std::uint8_t> bytes);
   void require_usable(const char* verb) const;
+  void require_no_open_dataset(const char* verb) const;
   void check_new_name(const std::string& name) const;
+  /// Write finished chunks in order: block until `must` chunks of the open
+  /// dataset are written, then also write any already-done successors.
+  void write_chunks(std::size_t must);
 
   std::string path_;       // final path ("" in memory mode)
   std::string tmp_path_;   // path_ + ".part"
@@ -153,6 +187,9 @@ class ArchiveWriter {
   std::vector<std::uint8_t>* mem_ = nullptr;
   std::uint64_t offset_ = 0;
   std::vector<DatasetInfo> directory_;
+  // Shared with in-flight chunk tasks, which may outlive an abandoned
+  // writer; they only ever touch this state.
+  std::shared_ptr<OpenDataset> open_;
   bool finished_ = false;
   bool failed_ = false;
 };

@@ -52,20 +52,11 @@ struct Params {
   std::size_t threads = 0;
 };
 
-/// Optional per-stage wall times filled by compress()/decompress(); the
-/// throughput bench uses these to attribute time to pipeline stages.
-struct StageStats {
-  double predict_s = 0;         ///< prediction + quantization sweep
-  double histogram_s = 0;       ///< entropy histogram + table build
-  double encode_s = 0;          ///< block-parallel entropy encode (+ gated LZ)
-  double entropy_decode_s = 0;  ///< block-parallel entropy decode
-  double reconstruct_s = 0;     ///< prediction-driven reconstruction
-};
-
+/// Stage times are recorded as obs spans under "sz.compress" (predict,
+/// entropy_encode) and "sz.decompress" (entropy_decode, reconstruct).
 template <typename T>
 std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
-                                   const Params& params,
-                                   StageStats* stats = nullptr);
+                                   const Params& params);
 
 /// Decompress a stream produced by compress(). The stream is
 /// self-describing; `dims_out` receives the original shape. Streams carry
@@ -73,8 +64,7 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
 /// (`threads`), v1 streams from older writers still decode serially.
 template <typename T>
 std::vector<T> decompress(std::span<const std::uint8_t> stream,
-                          Dims* dims_out = nullptr, std::size_t threads = 0,
-                          StageStats* stats = nullptr);
+                          Dims* dims_out = nullptr, std::size_t threads = 0);
 
 }  // namespace sz
 }  // namespace transpwr

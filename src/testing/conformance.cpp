@@ -8,7 +8,8 @@
 #include <sstream>
 
 #include "common/error.h"
-#include "parallel/chunked.h"
+#include "store/archive.h"
+#include "store/chunk_cache.h"
 #include "testing/oracle.h"
 
 namespace transpwr {
@@ -192,8 +193,9 @@ void run_case(const CaseContext& c, std::span<const T> data, Dims dims) {
   check_values<T>(c, data, out);
 }
 
-/// Serial-vs-parallel determinism of the chunked container: the stream and
-/// the reconstruction must be byte-identical however many threads ran.
+/// Serial-vs-parallel determinism of the TPAR archive: with the chunk size
+/// pinned, the archive bytes and the reconstruction must be byte-identical
+/// however many threads ran.
 void check_parallel_identity(Scheme scheme, double bound,
                              std::uint64_t seed, ConformanceReport* report) {
   CaseContext c{scheme, Family::kRandomSmooth, bound, seed, "float32",
@@ -204,34 +206,42 @@ void check_parallel_identity(Scheme scheme, double bound,
   dims.d[0] = 64;
   dims.d[1] = 16;
 
-  chunked::Params p;
-  p.scheme = scheme;
-  p.compressor.bound = bound;
-  p.num_chunks = 4;
+  store::DatasetOptions opts;
+  opts.scheme = scheme;
+  opts.params.bound = bound;
+  opts.rows_per_chunk = 16;  // 4 chunks
+  auto write = [&](std::size_t threads) {
+    opts.threads = threads;
+    std::vector<std::uint8_t> bytes;
+    store::ArchiveWriter w(&bytes);
+    w.add_dataset<float>("field", data, dims, opts);
+    w.finish();
+    return bytes;
+  };
   report->cases_run++;
   try {
-    p.threads = 1;
-    auto serial = chunked::compress<float>(data, dims, p);
-    p.threads = 4;
-    auto parallel = chunked::compress<float>(data, dims, p);
-    if (serial != parallel) {
+    auto serial = write(1);
+    if (serial != write(4)) {
       add_violation(c, "parallel_divergence",
-                    "chunked streams differ between 1 and 4 threads");
+                    "archives differ between 1 and 4 threads");
       return;
     }
-    auto out1 = chunked::decompress<float>(serial, nullptr, 1);
-    auto out4 = chunked::decompress<float>(serial, nullptr, 4);
+    // Cache off so the second load decodes rather than replays the first.
+    store::ScopedCacheCapacity no_cache(0);
+    store::ArchiveReader reader(serial);
+    auto out1 = reader.load<float>("field", nullptr, 1);
+    auto out4 = reader.load<float>("field", nullptr, 4);
     if (out1.size() != out4.size() ||
         std::memcmp(out1.data(), out4.data(),
                     out1.size() * sizeof(float)) != 0) {
       add_violation(c, "parallel_divergence",
-                    "chunked reconstruction differs between 1 and 4 threads");
+                    "archive loads differ between 1 and 4 threads");
       return;
     }
     report->points_checked += out1.size();
   } catch (const std::exception& e) {
     add_violation(c, "parallel_error",
-                  std::string("chunked round trip threw: ") + e.what());
+                  std::string("archive round trip threw: ") + e.what());
   }
 }
 

@@ -21,7 +21,8 @@ namespace testing {
 /// only finite-output/shape invariants for ZFP_P (approximate by design).
 /// Non-finite families must either round-trip NaN/Inf (SZ) or be rejected
 /// with a clean transpwr::Error. A separate pass checks degenerate shapes
-/// and serial-vs-parallel byte identity of the chunked container.
+/// and serial-vs-parallel byte identity of the TPAR archive writer and
+/// reader.
 struct ConformanceConfig {
   std::uint64_t seed = 20260807;
   std::size_t iters = 1;            ///< repetitions with derived seeds

@@ -14,7 +14,6 @@
 #include "lossless/lossless.h"
 #include "lossless/lz77.h"
 #include "lossless/rle.h"
-#include "parallel/chunked.h"
 #include "store/archive.h"
 #include "store/chunk_cache.h"
 #include "sz/interp.h"
@@ -172,24 +171,6 @@ std::vector<CorpusCase> build_cases() {
     patch_f64(bad_base, 8, 0.5);
     cases.push_back({"transformed_bad_log_base", std::move(bad_base)});
   }
-  {  // chunked header: scheme byte at 5, first slab row count u64 at 36.
-    chunked::Params p;
-    p.scheme = Scheme::kSzAbs;
-    p.num_chunks = 2;
-    p.threads = 1;
-    Dims d2;
-    d2.nd = 2;
-    d2.d[0] = 16;
-    d2.d[1] = 4;
-    auto data = base_field(64);
-    auto s = chunked::compress<float>(data, d2, p);
-    auto bad_scheme = s;
-    patch(bad_scheme, 5, {0xff});
-    cases.push_back({"chunked_bad_scheme_byte", std::move(bad_scheme)});
-    auto bad_rows = s;
-    patch_u64(bad_rows, 36, ~std::uint64_t{0});
-    cases.push_back({"chunked_slab_rows_overflow", std::move(bad_rows)});
-  }
   {  // archive trailer: footer_fnv u64 at size-20, footer_size u64 at
      // size-12, end magic u32 at size-4; payload starts at byte 8.
     std::vector<std::uint8_t> s;
@@ -302,8 +283,6 @@ void decode_corpus_stream(const std::string& name,
     isabela::decompress<float>(stream);
   } else if (starts_with(name, "transformed_")) {
     transformed_decompress<float>(stream);
-  } else if (starts_with(name, "chunked_")) {
-    chunked::decompress<float>(stream, nullptr, 1);
   } else if (starts_with(name, "archive_")) {
     auto replay = [](store::ArchiveReader& reader) {
       // Loads before verify(): payload corruption inside an archive that

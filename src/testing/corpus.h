@@ -12,9 +12,9 @@ namespace testing {
 /// Minimized regression bitstreams for the decoder-hardening checks: each
 /// case is a valid stream with a targeted header patch that must be
 /// rejected with a clean transpwr::Error (bad mode bytes, zero block
-/// edges, overflowing dims, giant declared sizes, oversized slab tables,
+/// edges, overflowing dims, giant declared sizes, oversized footers,
 /// non-finite stream parameters...). The file-name prefix selects the
-/// decoder (`sz_`, `zfp_`, `transformed_`, `chunked_`, `lz77_`, ...).
+/// decoder (`sz_`, `zfp_`, `transformed_`, `archive_`, `lz77_`, ...).
 struct CorpusCase {
   std::string name;  ///< file stem; prefix routes to the decoder
   std::vector<std::uint8_t> stream;

@@ -20,7 +20,6 @@
 #include "lossless/rle.h"
 #include "net/http.h"
 #include "net/protocol.h"
-#include "parallel/chunked.h"
 #include "query/query.h"
 #include "store/archive.h"
 #include "store/chunk_cache.h"
@@ -160,24 +159,6 @@ std::vector<FuzzTarget> default_fuzz_targets(std::uint64_t seed) {
     t.decode = [](std::span<const std::uint8_t> s) {
       BitReader br(s);
       rle::decode_bits(br);
-    };
-    targets.push_back(std::move(t));
-  }
-  {
-    FuzzTarget t;
-    t.name = "chunked";
-    chunked::Params p;
-    p.scheme = Scheme::kSzAbs;
-    p.num_chunks = 3;
-    p.threads = 1;
-    Dims dims;
-    dims.nd = 2;
-    dims.d[0] = 24;
-    dims.d[1] = 8;
-    auto data = make_field<float>(Family::kRandomSmooth, dims.count(), seed);
-    t.corpus = {chunked::compress<float>(data, dims, p)};
-    t.decode = [](std::span<const std::uint8_t> s) {
-      chunked::decompress<float>(s, nullptr, 1);
     };
     targets.push_back(std::move(t));
   }

@@ -51,7 +51,7 @@ struct FuzzTarget {
 };
 
 /// One target per registered scheme and precision, plus the lossless
-/// substrate (lossless container, lz77, rle) and the chunked container.
+/// substrate (lossless container, lz77, rle) and the TPAR archive.
 std::vector<FuzzTarget> default_fuzz_targets(std::uint64_t seed);
 
 /// One deterministic mutation of `base` (never returns `base` unchanged

@@ -4,13 +4,17 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <limits>
 #include <string>
 
 #include "common/error.h"
 #include "core/compressor.h"
 #include "data/io.h"
+#include "net/client.h"
 #include "obs/obs.h"
+#include "server/server.h"
 #include "store/archive.h"
 #include "store/archive_json.h"
 
@@ -526,9 +530,8 @@ TEST(CliEndToEnd, StatsJsonEmitsPerStageSpansForEveryScheme) {
               std::string::npos)
         << name;
     // The registry decorator wraps every registered scheme, so each run
-    // must carry a per-scheme compress span (nested under the chunked
-    // pipeline when the slab runs on the calling thread) and the codec
-    // byte counters.
+    // must carry a per-scheme compress span (rooted on the pool worker
+    // that compressed the chunk) and the codec byte counters.
     EXPECT_NE(text.find("compress." + name + "\""), std::string::npos)
         << name;
     EXPECT_NE(text.find("\"codec.bytes_in\""), std::string::npos) << name;
@@ -560,6 +563,88 @@ TEST(CliEndToEnd, StatsRunProducesIdenticalCompressedBytes) {
   EXPECT_EQ(io::read_bytes(plain), io::read_bytes(stats));
   for (const auto& p : {raw, plain, stats, json_path})
     std::remove(p.c_str());
+}
+
+// compress writes a one-dataset TPAR archive, so every archive consumer
+// takes its output as is: archive ls/verify/extract, query, and serve.
+TEST(CliEndToEnd, CompressOutputIsAnArchiveEveryReaderAccepts) {
+  const std::string dir = tmp("compress_served");
+  std::filesystem::create_directories(dir);
+  const std::string raw = tmp("cs_field.bin");
+  const std::string packed = dir + "/field.tpar";
+  const std::string extracted = tmp("cs_extracted.bin");
+  const std::string decompressed = tmp("cs_decompressed.bin");
+  ASSERT_EQ(cli::run(cli::parse_args({"gen", "-w", "nyx", "-d", "16x10x10",
+                                      "--seed", "4", "-o", raw})),
+            0);
+  ASSERT_EQ(cli::run(cli::parse_args({"compress", "-b", "1e-2", "-d",
+                                      "16x10x10", "--chunks", "4", raw,
+                                      packed})),
+            0);
+
+  store::ArchiveReader reader(packed);
+  ASSERT_EQ(reader.datasets().size(), 1u);
+  const auto& ds = reader.datasets()[0];
+  EXPECT_EQ(ds.name, "transpwr_cli_cs_field");  // the input's stem
+  EXPECT_EQ(ds.chunks.size(), 4u);              // --chunks N => N chunks
+  EXPECT_TRUE(ds.has_summaries());
+
+  ::testing::internal::CaptureStdout();
+  EXPECT_EQ(cli::run(cli::parse_args({"info", packed})), 0);
+  const std::string info = ::testing::internal::GetCapturedStdout();
+  EXPECT_NE(info.find("scheme:    SZ_T"), std::string::npos) << info;
+  EXPECT_NE(info.find("dims:      16x10x10"), std::string::npos) << info;
+  EXPECT_NE(info.find("chunks:    4"), std::string::npos) << info;
+
+  EXPECT_EQ(cli::run(cli::parse_args({"archive", "ls", packed})), 0);
+  EXPECT_EQ(cli::run(cli::parse_args({"archive", "verify", packed})), 0);
+  ASSERT_EQ(cli::run(cli::parse_args({"archive", "extract", packed,
+                                      extracted})),
+            0);
+  ASSERT_EQ(cli::run(cli::parse_args({"decompress", packed, decompressed})),
+            0);
+  const auto full = reader.load<float>(ds.name);
+  EXPECT_EQ(io::read_floats(extracted), full);
+  EXPECT_EQ(io::read_floats(decompressed), full);
+  EXPECT_EQ(cli::run(cli::parse_args({"query", "agg", packed})), 0);
+  EXPECT_EQ(cli::run(cli::parse_args({"query", "count", "--where", "gt:0",
+                                      packed})),
+            0);
+
+  server::ServerOptions opts;
+  opts.dir = dir;
+  opts.enable_http = false;
+  server::Server srv(opts);
+  srv.start();
+  {
+    net::Client client("127.0.0.1", srv.port());
+    auto rows = client.read_rows("field.tpar", ds.name, 4, 8);
+    EXPECT_EQ(rows.dims, Dims(4, 10, 10));
+    EXPECT_EQ(rows.as<float>(), reader.read_rows<float>(ds.name, 4, 8));
+  }
+  srv.stop();
+
+  for (const auto& p : {raw, packed, extracted, decompressed})
+    std::remove(p.c_str());
+}
+
+// Files from the retired chunked container fail ArchiveReader's magic
+// check: info reports them with exit code 1, decompress with a
+// StreamError (exit code 2 from main_entry).
+TEST(CliEndToEnd, RetiredChunkedFilesAreRejected) {
+  const std::string old = tmp("retired.tpz");
+  std::vector<std::uint8_t> bytes(64, 0);
+  const char magic[] = {'C', 'H', 'K', '1'};
+  std::memcpy(bytes.data(), magic, sizeof magic);
+  io::write_bytes(old, bytes);
+  ::testing::internal::CaptureStdout();
+  EXPECT_EQ(cli::run(cli::parse_args({"info", old})), 1);
+  EXPECT_NE(::testing::internal::GetCapturedStdout().find("bad magic"),
+            std::string::npos);
+  EXPECT_THROW(
+      cli::run(cli::parse_args({"decompress", old, tmp("retired.bin")})),
+      StreamError);
+  std::remove(old.c_str());
 }
 
 TEST(CliEndToEnd, InfoRejectsGarbage) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "common/rng.h"
 #include "data/generators.h"
 #include "metrics/metrics.h"
+#include "obs/obs.h"
 
 namespace transpwr {
 namespace {
@@ -117,17 +119,32 @@ TEST(Transformed, WideDynamicRangeIsWhereItShines) {
   expect_strictly_bounded(data, out, p.rel_bound);
 }
 
-TEST(Transformed, StageTimesPopulated) {
+// The stage breakdown lives in the obs registry; these are the span paths
+// the benches read (by suffix, since a caller's spans may enclose them).
+TEST(Transformed, StageSpansRecorded) {
   auto f = gen::nyx_dark_matter_density(Dims(16, 16, 16), 6);
   TransformedParams p;
   p.rel_bound = 1e-2;
-  StageTimes ct{}, dt{};
+  obs::ScopedRecording rec;
+  obs::reset();
   auto stream = transformed_compress<float>(f.span(), f.dims,
-                                            InnerCodec::kSz, p, &ct);
-  auto out = transformed_decompress<float>(stream, nullptr, &dt);
-  EXPECT_GT(ct.pre_seconds, 0.0);
-  EXPECT_GT(dt.post_seconds, 0.0);
+                                            InnerCodec::kSz, p);
+  auto out = transformed_decompress<float>(stream);
   EXPECT_EQ(out.size(), f.values.size());
+  const auto snap = obs::snapshot();
+  auto recorded = [&](const std::string& suffix) {
+    for (const auto& [path, stat] : snap.spans)
+      if (path.size() >= suffix.size() &&
+          path.compare(path.size() - suffix.size(), suffix.size(), suffix) ==
+              0)
+        return stat.count > 0 && stat.seconds > 0;
+    return false;
+  };
+  for (const char* path :
+       {"transformed.compress/pre", "transformed.decompress/post",
+        "sz.compress/predict", "sz.compress/entropy_encode",
+        "sz.decompress/entropy_decode", "sz.decompress/reconstruct"})
+    EXPECT_TRUE(recorded(path)) << path;
 }
 
 TEST(Transformed, DoubleType) {

@@ -75,8 +75,8 @@ TEST(ThreadDeterminism, TransformedSzBytesMatchAndRoundTrip) {
   auto eight = transformed_compress<float>(data, dims, InnerCodec::kSz, tp);
   EXPECT_EQ(eight, one);
   // And the parallel decoder agrees with the serial one.
-  EXPECT_EQ(transformed_decompress<float>(one, nullptr, nullptr, 8),
-            transformed_decompress<float>(one, nullptr, nullptr, 1));
+  EXPECT_EQ(transformed_decompress<float>(one, nullptr, 8),
+            transformed_decompress<float>(one, nullptr, 1));
 }
 
 }  // namespace

@@ -172,7 +172,7 @@ TEST(DispatchDeterminism, TransformedSzFloat) {
         return transformed_compress<float>(data, dims, InnerCodec::kSz, p);
       },
       [&](const std::vector<std::uint8_t>& s) {
-        return transformed_decompress<float>(s, nullptr, nullptr, 1);
+        return transformed_decompress<float>(s, nullptr, 1);
       });
 }
 

@@ -139,15 +139,6 @@ TEST_F(ObsTest, SpanNestingUnderParallelForRootsPerThread) {
   EXPECT_EQ(bodies, 4u);
 }
 
-TEST_F(ObsTest, SinkFiresEvenWhileDisabled) {
-  ASSERT_FALSE(obs::enabled());
-  double secs = -1;
-  { obs::Span s("obs_test.sink", &secs); }
-  EXPECT_GE(secs, 0.0);
-  // ...but nothing lands in the registry.
-  EXPECT_TRUE(obs::snapshot().spans.empty());
-}
-
 TEST_F(ObsTest, SecondsReadsElapsedTimeMidSpan) {
   obs::ScopedRecording rec;
   obs::Span s("obs_test.mid");

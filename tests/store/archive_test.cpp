@@ -2,14 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/error.h"
+#include "compat/golden_fields.h"
 #include "data/generators.h"
 #include "metrics/metrics.h"
 #include "store/chunk_cache.h"
@@ -388,6 +392,238 @@ TEST(Archive, MmapAndPreadFallbackProduceIdenticalData) {
     EXPECT_EQ(r.load<float>("v", nullptr, 2), mapped_full);
   }
   std::filesystem::remove(path);
+}
+
+// Pin the ROI edge semantics: the full range reproduces load() exactly,
+// single-row reads work on both sides of every chunk seam and in the last
+// chunk, and every malformed range is a ParamError (never an empty
+// result) raised before any chunk is decoded.
+TEST(Archive, ReadRowsEdgeCases) {
+  auto f = gen::nyx_velocity(Dims(26, 6, 6), 31);
+  std::vector<std::uint8_t> buf;
+  {
+    ArchiveWriter w(&buf);
+    DatasetOptions opts;
+    opts.params.bound = 1e-2;
+    opts.rows_per_chunk = 7;  // 26 rows -> 7, 7, 7, 5
+    opts.threads = 2;
+    w.add_dataset<float>("v", f.span(), f.dims, opts);
+    w.finish();
+  }
+  ArchiveReader r(buf);
+  Dims full_dims, roi_dims;
+  auto full = r.load<float>("v", &full_dims);
+  EXPECT_EQ(r.read_rows<float>("v", 0, 26, &roi_dims), full);
+  EXPECT_EQ(roi_dims, full_dims);
+
+  const std::size_t row = 36;
+  for (std::size_t b : {0u, 6u, 7u, 13u, 14u, 20u, 21u, 25u}) {
+    SCOPED_TRACE(b);
+    auto one = r.read_rows<float>("v", b, b + 1, &roi_dims, 2);
+    EXPECT_EQ(roi_dims, Dims(1, 6, 6));
+    ASSERT_EQ(one.size(), row);
+    for (std::size_t i = 0; i < row; ++i)
+      ASSERT_EQ(one[i], full[b * row + i]) << i;
+  }
+  auto last = r.read_rows<float>("v", 21, 26);
+  EXPECT_TRUE(std::equal(last.begin(), last.end(), full.begin() + 21 * row));
+
+  for (auto [b, e] : std::vector<std::pair<std::size_t, std::size_t>>{
+           {0, 0}, {26, 26}, {25, 27}, {26, 27}, {9, 4}, {0, SIZE_MAX}}) {
+    SCOPED_TRACE(b);
+    EXPECT_THROW(r.read_rows<float>("v", b, e), ParamError);
+  }
+}
+
+TEST(Archive, AllDimensionalities) {
+  auto f1 = gen::hacc_velocity(5000, 4);
+  auto f2 = gen::cesm_cloud_fraction(Dims(50, 64), 5);
+  auto f3 = gen::nyx_velocity(Dims(12, 16, 16), 6);
+  for (const Field<float>* f : {&f1, &f2, &f3}) {
+    SCOPED_TRACE(f->dims.to_string());
+    std::vector<std::uint8_t> buf;
+    {
+      ArchiveWriter w(&buf);
+      DatasetOptions opts;
+      opts.params.bound = 1e-2;
+      opts.rows_per_chunk = (f->dims[0] + 2) / 3;  // 3 chunks
+      w.add_dataset<float>("f", f->span(), f->dims, opts);
+      w.finish();
+    }
+    ArchiveReader r(buf);
+    EXPECT_EQ(r.dataset("f").chunks.size(), 3u);
+    Dims dims;
+    auto out = r.load<float>("f", &dims);
+    EXPECT_EQ(dims, f->dims);
+    auto stats = compute_error_stats(f->span(), std::span<const float>(out));
+    EXPECT_LE(stats.max_rel, 1e-2 * (1 + 1e-6));
+  }
+}
+
+// A chunk is compressed exactly as a smaller field: with one chunk the
+// stored stream is the scheme's own stream, and a chunk size past the row
+// count clamps to one chunk.
+TEST(Archive, SingleChunkStoresTheSchemeStream) {
+  auto f = gen::cesm_flux(Dims(60, 80), 2);
+  CompressorParams params;
+  params.bound = 1e-3;
+  auto direct = make_compressor(Scheme::kFpzip)->compress(f.span(), f.dims,
+                                                          params);
+  std::vector<std::uint8_t> buf;
+  {
+    ArchiveWriter w(&buf);
+    DatasetOptions opts;
+    opts.scheme = Scheme::kFpzip;
+    opts.params = params;
+    opts.rows_per_chunk = 1000;
+    w.add_dataset<float>("flux", f.span(), f.dims, opts);
+    w.finish();
+  }
+  ArchiveReader r(buf);
+  ASSERT_EQ(r.dataset("flux").chunks.size(), 1u);
+  EXPECT_EQ(r.read_chunk_bytes("flux", 0), direct);
+}
+
+// --- streaming writes: begin_dataset / append_rows / end_dataset ---
+
+template <typename T>
+std::vector<std::uint8_t> whole_archive(std::span<const T> data, Dims dims,
+                                        const DatasetOptions& opts) {
+  std::vector<std::uint8_t> buf;
+  ArchiveWriter w(&buf);
+  w.add_dataset<T>("field", data, dims, opts);
+  w.finish();
+  return buf;
+}
+
+template <typename T>
+std::vector<std::uint8_t> streamed_archive(
+    std::span<const T> data, Dims dims, const DatasetOptions& opts,
+    const std::vector<std::size_t>& batches) {
+  const std::size_t row = dims.count() / dims[0];
+  std::vector<std::uint8_t> buf;
+  ArchiveWriter w(&buf);
+  w.begin_dataset<T>("field", dims, opts);
+  std::size_t at = 0;
+  for (std::size_t rows : batches) {
+    // append_rows may not return while a task still reads its rows, so
+    // scribbling over them afterwards must not change the bytes written.
+    auto batch = data.subspan(at * row, rows * row);
+    std::vector<T> scratch(batch.begin(), batch.end());
+    w.append_rows<T>(scratch);
+    std::fill(scratch.begin(), scratch.end(), T(-1));
+    at += rows;
+  }
+  EXPECT_EQ(at, dims[0]);
+  EXPECT_EQ(w.rows_remaining(), 0u);
+  w.end_dataset();
+  w.finish();
+  return buf;
+}
+
+TEST(ArchiveStreaming, PlaneByPlaneMatchesAddDataset) {
+  auto f = gen::hurricane_wind(Dims(20, 24, 24), 11);
+  DatasetOptions opts;
+  opts.params.bound = 1e-2;
+  opts.rows_per_chunk = 5;
+  auto streamed = streamed_archive<float>(f.span(), f.dims, opts,
+                                          std::vector<std::size_t>(20, 1));
+  EXPECT_EQ(streamed, whole_archive<float>(f.span(), f.dims, opts));
+
+  ArchiveReader r(streamed);
+  auto out = r.load<float>("field");
+  auto stats = compute_error_stats(f.span(), std::span<const float>(out));
+  EXPECT_LE(stats.max_rel, 1e-2 * (1 + 1e-6));
+}
+
+// Appends of any size — inside one chunk, across seams, several chunks at
+// once, the whole field, empty — write add_dataset's bytes, for float and
+// double and for the default (one chunk per thread) chunking.
+TEST(ArchiveStreaming, AnyAppendSizesMatchAddDataset) {
+  auto f = gen::cesm_flux(Dims(33, 40), 12);
+  std::vector<double> f64(f.values.begin(), f.values.end());
+  const std::vector<std::vector<std::size_t>> patterns = {
+      {33}, {1, 2, 7, 13, 10}, {8, 8, 8, 8, 1}, {0, 17, 0, 16},
+      {9, 24}, {32, 1}, std::vector<std::size_t>(33, 1)};
+  for (std::size_t rows_per_chunk : {0u, 1u, 8u, 11u, 40u}) {
+    DatasetOptions opts;
+    opts.params.bound = 1e-3;
+    opts.rows_per_chunk = rows_per_chunk;
+    opts.threads = 3;
+    const auto want32 = whole_archive<float>(f.span(), f.dims, opts);
+    const auto want64 =
+        whole_archive<double>(std::span<const double>(f64), f.dims, opts);
+    for (const auto& batches : patterns) {
+      SCOPED_TRACE(::testing::PrintToString(batches) + " rows_per_chunk " +
+                   std::to_string(rows_per_chunk));
+      EXPECT_EQ(streamed_archive<float>(f.span(), f.dims, opts, batches),
+                want32);
+      EXPECT_EQ(streamed_archive<double>(std::span<const double>(f64),
+                                         f.dims, opts, batches),
+                want64);
+    }
+  }
+}
+
+// Caller mistakes are ParamErrors that leave the open dataset intact: the
+// writer can still complete it and write add_dataset's bytes.
+TEST(ArchiveStreaming, Validation) {
+  auto f = gen::hacc_velocity(64, 1);
+  const Dims dims(16, 4);
+  DatasetOptions opts;
+  opts.scheme = Scheme::kSzAbs;
+  opts.rows_per_chunk = 6;
+  std::span<const float> data = f.span();
+  std::vector<double> wrong_type(4, 1.0);
+
+  std::vector<std::uint8_t> buf;
+  ArchiveWriter w(&buf);
+  EXPECT_THROW(w.append_rows<float>(data.first(4)), ParamError);  // not open
+  EXPECT_THROW(w.end_dataset(), ParamError);                      // not open
+  w.begin_dataset<float>("field", dims, opts);
+  EXPECT_THROW(w.begin_dataset<float>("other", dims, opts), ParamError);
+  EXPECT_THROW(w.add_dataset<float>("other", data, dims, opts), ParamError);
+  EXPECT_THROW(w.add_compressed("other", DataType::kFloat32, Scheme::kSzAbs,
+                                dims, 1e-3, 2, {buf.data(), 1}),
+               ParamError);
+  EXPECT_THROW(w.finish(), ParamError);
+  EXPECT_THROW(w.append_rows<float>(data.first(3)), ParamError);  // partial
+  EXPECT_THROW(w.append_rows<double>(wrong_type), ParamError);    // dtype
+  w.append_rows<float>(data.first(40));  // 10 rows: one chunk + a partial
+  EXPECT_EQ(w.rows_remaining(), 6u);
+  EXPECT_THROW(w.end_dataset(), ParamError);                     // incomplete
+  EXPECT_THROW(w.append_rows<float>(data.first(28)), ParamError);  // too many
+  w.append_rows<float>(data.subspan(40));
+  EXPECT_EQ(w.rows_remaining(), 0u);
+  w.end_dataset();
+  EXPECT_THROW(w.end_dataset(), ParamError);  // already closed
+  w.finish();
+  EXPECT_EQ(buf, whole_archive<float>(data, dims, opts));
+}
+
+// The writer's bytes are a contract: this FNV of an in-memory archive of
+// fixed, platform-independent fields (golden::field draws integers only)
+// was taken before add_dataset became begin_dataset/append_rows/
+// end_dataset, so any drift in chunking, chunk order, summaries or the
+// footer layout fails here.
+TEST(Archive, PinnedBytesOfAFixedArchive) {
+  auto f32 = golden::field<float>(24 * 18, 424242);
+  auto f64 = golden::field<double>(40 * 6, 77);
+  std::vector<std::uint8_t> buf;
+  {
+    ArchiveWriter w(&buf);
+    DatasetOptions o32;
+    o32.params.bound = 1e-3;
+    o32.rows_per_chunk = 5;  // 24 rows -> 5, 5, 5, 5, 4
+    w.add_dataset<float>("f32", f32, Dims(24, 18), o32);
+    DatasetOptions o64;
+    o64.scheme = Scheme::kSzAbs;
+    o64.params.bound = 1e-4;
+    o64.rows_per_chunk = 16;  // 40 rows -> 16, 16, 8
+    w.add_dataset<double>("f64", f64, Dims(40, 6), o64);
+    w.finish();
+  }
+  EXPECT_EQ(fnv1a64(buf), 0xebc03867def029f9ULL);
 }
 
 }  // namespace

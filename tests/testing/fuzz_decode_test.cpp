@@ -19,13 +19,13 @@ TEST(FuzzTargets, CoverEverySchemeAndTheSubstrate) {
     EXPECT_TRUE(t.decode != nullptr) << t.name;
   }
   // Every registered scheme at both precisions, plus the lossless layers,
-  // the chunked / archive containers, and the serve wire parsers.
+  // the archive container, and the serve wire parsers.
   for (const char* required :
        {"SZ_ABS_f32", "SZ_ABS_f64", "SZ_PWR_f32", "SZ_PWR_f64", "SZ_T_f32",
         "SZ_T_f64", "ZFP_P_f32", "ZFP_P_f64", "ZFP_T_f32", "ZFP_T_f64",
         "FPZIP_f32", "FPZIP_f64", "ISABELA_f32", "ISABELA_f64", "SZI_T_f32",
-        "SZI_T_f64", "lossless", "lz77", "blocked_huffman", "rle", "chunked",
-        "archive", "query", "net_frame"})
+        "SZI_T_f64", "lossless", "lz77", "blocked_huffman", "rle", "archive",
+        "query", "net_frame"})
     EXPECT_TRUE(names.count(required)) << "missing target " << required;
 }
 
@@ -45,7 +45,7 @@ TEST(FuzzDecode, NoFindingsAtCtestBudget) {
   FuzzConfig config;
   config.iters_per_target = 300;
   FuzzReport report = run_fuzz(config);
-  EXPECT_EQ(report.targets_run, 24u);
+  EXPECT_EQ(report.targets_run, 23u);
   EXPECT_EQ(report.decodes, report.targets_run * config.iters_per_target);
   // Every decode must land in one of the two clean buckets.
   EXPECT_EQ(report.clean_errors + report.clean_decodes, report.decodes);
