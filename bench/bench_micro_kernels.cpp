@@ -1,16 +1,19 @@
 // google-benchmark microbenchmarks of the hot kernels: the forward/inverse
 // log maps per base (the root cause behind Table III), the SZ
-// Lorenzo+quantization pass, the ZFP block pipeline, and the entropy
-// stages.
+// Lorenzo+quantization pass, the ZFP block pipeline, the entropy
+// stages, and the wire body checksums.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/rng.h"
 #include "core/log_transform.h"
 #include "data/generators.h"
+#include "kernels/crc32c.h"
+#include "kernels/dispatch.h"
 #include "lossless/huffman.h"
 #include "lossless/lossless.h"
 #include "sz/sz.h"
@@ -143,6 +146,53 @@ void BM_LosslessLz(benchmark::State& state) {
                           static_cast<std::int64_t>(f.bytes()));
 }
 BENCHMARK(BM_LosslessLz);
+
+// Wire body checksums: byte-serial FNV-1a against CRC32C under each
+// dispatch, on a warm ROI response (128 KiB) and a whole-chunk-scale
+// buffer (4 MiB). The GB counter is a decimal rate (GB/s), like the
+// BENCH files.
+const std::vector<std::uint8_t>& checksum_input(std::size_t n) {
+  static std::vector<std::uint8_t> buf;
+  if (buf.size() < n) {
+    Rng rng(9);
+    buf.resize(n);
+    for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  }
+  return buf;
+}
+
+void set_gbs(benchmark::State& state, std::size_t n) {
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+  state.counters["GB"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(n) / 1e9,
+      benchmark::Counter::kIsRate);
+}
+
+void BM_Fnv1a64(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::span<const std::uint8_t> bytes(checksum_input(n).data(), n);
+  for (auto _ : state) benchmark::DoNotOptimize(fnv1a64(bytes));
+  set_gbs(state, n);
+}
+BENCHMARK(BM_Fnv1a64)->Arg(128 << 10)->Arg(4 << 20);
+
+void BM_Crc32c(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto d = state.range(1) ? kernels::Dispatch::kNative
+                                : kernels::Dispatch::kGeneric;
+  kernels::ScopedDispatch scoped(d);
+  std::span<const std::uint8_t> bytes(checksum_input(n).data(), n);
+  for (auto _ : state) benchmark::DoNotOptimize(kernels::crc32c(bytes));
+  set_gbs(state, n);
+  state.SetLabel(kernels::name(d));
+}
+BENCHMARK(BM_Crc32c)
+    ->ArgNames({"bytes", "native"})
+    ->Args({128 << 10, 0})
+    ->Args({4 << 20, 0})
+    ->Args({128 << 10, 1})
+    ->Args({4 << 20, 1});
 
 }  // namespace
 

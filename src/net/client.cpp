@@ -32,10 +32,9 @@ Client::Client(const std::string& host, std::uint16_t port)
   ping();
 }
 
-std::vector<std::uint8_t> Client::call(Op op,
-                                       std::span<const std::uint8_t> body) {
+Frame Client::call(Op op, std::span<const std::uint8_t> body) {
   const std::uint32_t seq = next_seq_++;
-  write_frame(sock_, encode_frame(op, 0, seq, body));
+  write_frame(sock_, encode_frame(op, kFlagCrc32c, seq, body));
   Frame resp;
   if (!read_frame(sock_, response_cap(), /*timeout_ms=*/-1, /*wake_fd=*/-1,
                   &resp))
@@ -48,15 +47,16 @@ std::vector<std::uint8_t> Client::call(Op op,
   if (resp.is_error()) {
     ErrCode code{};
     std::string message;
-    parse_error_body(resp.body, &code, &message);
+    parse_error_body(resp.body(), &code, &message);
     throw RemoteError(code, message);
   }
-  return std::move(resp.body);
+  return resp;
 }
 
 void Client::ping() {
   static constexpr std::uint8_t kEcho[] = {0x7f, 0x00, 0x42};
-  auto body = call(Op::kPing, kEcho);
+  auto resp = call(Op::kPing, kEcho);
+  auto body = resp.body();
   if (body.size() != sizeof kMagic + sizeof kEcho ||
       std::memcmp(body.data(), kMagic, sizeof kMagic) != 0 ||
       std::memcmp(body.data() + sizeof kMagic, kEcho, sizeof kEcho) != 0)
@@ -64,8 +64,8 @@ void Client::ping() {
 }
 
 std::vector<std::string> Client::list() {
-  auto body = call(Op::kList, {});
-  ByteReader in(body);
+  auto resp = call(Op::kList, {});
+  ByteReader in(resp.body());
   auto n = in.get<std::uint32_t>();
   std::vector<std::string> names;
   names.reserve(n);
@@ -79,8 +79,8 @@ std::vector<RemoteDataset> Client::stat(const std::string& archive) {
   ByteWriter req;
   put_string(req, archive);
   auto req_bytes = req.take();
-  auto body = call(Op::kStat, req_bytes);
-  ByteReader in(body);
+  auto resp = call(Op::kStat, req_bytes);
+  ByteReader in(resp.body());
   auto n = in.get<std::uint32_t>();
   std::vector<RemoteDataset> out;
   out.reserve(n);
@@ -122,7 +122,7 @@ RemotePayload Client::load(const std::string& archive,
   put_string(req, archive);
   put_string(req, dataset);
   auto req_bytes = req.take();
-  return parse_payload(call(Op::kLoad, req_bytes));
+  return parse_payload(call(Op::kLoad, req_bytes).body());
 }
 
 RemotePayload Client::read_rows(const std::string& archive,
@@ -135,7 +135,7 @@ RemotePayload Client::read_rows(const std::string& archive,
   req.put(row_begin);
   req.put(row_end);
   auto req_bytes = req.take();
-  return parse_payload(call(Op::kReadRows, req_bytes));
+  return parse_payload(call(Op::kReadRows, req_bytes).body());
 }
 
 std::vector<std::uint8_t> Client::chunk_bytes(const std::string& archive,
@@ -146,8 +146,8 @@ std::vector<std::uint8_t> Client::chunk_bytes(const std::string& archive,
   put_string(req, dataset);
   req.put(chunk);
   auto req_bytes = req.take();
-  auto body = call(Op::kChunkBytes, req_bytes);
-  ByteReader in(body);
+  auto resp = call(Op::kChunkBytes, req_bytes);
+  ByteReader in(resp.body());
   auto bytes = in.get_sized();
   if (in.remaining() != 0)
     throw StreamError("tprq1: trailing bytes in chunk_bytes response");
@@ -158,8 +158,8 @@ std::uint64_t Client::verify(const std::string& archive) {
   ByteWriter req;
   put_string(req, archive);
   auto req_bytes = req.take();
-  auto body = call(Op::kVerify, req_bytes);
-  ByteReader in(body);
+  auto resp = call(Op::kVerify, req_bytes);
+  ByteReader in(resp.body());
   in.get<std::uint64_t>();  // datasets
   auto chunks = in.get<std::uint64_t>();
   in.get<std::uint64_t>();  // payload bytes
@@ -202,8 +202,8 @@ RemoteChunkMatches Client::query_chunks(const std::string& archive,
                                         QueryCmp cmp, double threshold) {
   auto req = query_request(archive, dataset, QueryKind::kChunks, cmp,
                            threshold, 0, 0, 0);
-  auto body = call(Op::kQuery, req);
-  ByteReader in(body);
+  auto resp = call(Op::kQuery, req);
+  ByteReader in(resp.body());
   RemoteChunkMatches out;
   out.chunks_total = in.get<std::uint64_t>();
   out.chunks_pruned = in.get<std::uint64_t>();
@@ -229,8 +229,8 @@ RemoteAggregate Client::query_aggregate(const std::string& archive,
                                         std::uint64_t row_end) {
   auto req = query_request(archive, dataset, QueryKind::kAgg, QueryCmp::kGt,
                            0, row_begin, row_end, 0);
-  auto body = call(Op::kQuery, req);
-  ByteReader in(body);
+  auto resp = call(Op::kQuery, req);
+  ByteReader in(resp.body());
   RemoteAggregate out;
   out.min = in.get<double>();
   out.max = in.get<double>();
@@ -252,8 +252,8 @@ RemoteCount Client::query_count(const std::string& archive,
                                 std::uint64_t row_end) {
   auto req = query_request(archive, dataset, QueryKind::kCount, cmp,
                            threshold, row_begin, row_end, 0);
-  auto body = call(Op::kQuery, req);
-  ByteReader in(body);
+  auto resp = call(Op::kQuery, req);
+  ByteReader in(resp.body());
   RemoteCount out;
   out.matching = in.get<std::uint64_t>();
   out.total = in.get<std::uint64_t>();
@@ -270,8 +270,8 @@ RemotePreview Client::query_preview(const std::string& archive,
                                     std::uint64_t row_end) {
   auto req = query_request(archive, dataset, QueryKind::kPreview,
                            QueryCmp::kGt, 0, row_begin, row_end, points);
-  auto body = call(Op::kQuery, req);
-  ByteReader in(body);
+  auto resp = call(Op::kQuery, req);
+  ByteReader in(resp.body());
   RemotePreview out;
   out.stride = in.get<std::uint64_t>();
   out.chunks_decoded = in.get<std::uint64_t>();

@@ -168,9 +168,10 @@ class Client {
   void shutdown_server();
 
  private:
-  /// Send `body` under `op`, await the matching response, unwrap errors
-  /// into RemoteError. Returns the response body.
-  std::vector<std::uint8_t> call(Op op, std::span<const std::uint8_t> body);
+  /// Send `body` under `op` (asking for a CRC32C-checksummed answer),
+  /// await the matching response, unwrap errors into RemoteError. Returns
+  /// the response frame; its body() views the received bytes.
+  Frame call(Op op, std::span<const std::uint8_t> body);
 
   static RemotePayload parse_payload(std::span<const std::uint8_t> body);
 

@@ -1,5 +1,7 @@
 #include "net/frame_io.h"
 
+#include <utility>
+
 namespace transpwr {
 namespace net {
 
@@ -11,7 +13,7 @@ bool read_frame(Socket& sock, std::size_t max_frame, int timeout_ms,
   std::vector<std::uint8_t> tail(len);
   if (!sock.recv_exact(tail, timeout_ms, wake_fd))
     throw NetError("tprq1: peer closed after the length prefix");
-  *out = parse_frame_tail(static_cast<std::uint32_t>(len), tail);
+  *out = parse_frame_tail(std::move(tail));
   return true;
 }
 

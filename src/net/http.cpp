@@ -159,14 +159,12 @@ std::optional<std::string> query_param(std::string_view query,
   return std::nullopt;
 }
 
-std::string http_response(int status, std::string_view reason,
-                          std::string_view content_type,
-                          std::string_view body,
-                          const std::vector<std::pair<std::string,
-                                                      std::string>>&
-                              extra_headers) {
+std::string http_head(int status, std::string_view reason,
+                      std::string_view content_type,
+                      std::size_t content_length,
+                      const std::vector<std::pair<std::string, std::string>>&
+                          extra_headers) {
   std::string out;
-  out.reserve(128 + body.size());
   out += "HTTP/1.1 ";
   out += std::to_string(status);
   out += ' ';
@@ -178,7 +176,7 @@ std::string http_response(int status, std::string_view reason,
     out += "\r\n";
   }
   out += "Content-Length: ";
-  out += std::to_string(body.size());
+  out += std::to_string(content_length);
   out += "\r\n";
   for (const auto& [k, v] : extra_headers) {
     out += k;
@@ -187,6 +185,17 @@ std::string http_response(int status, std::string_view reason,
     out += "\r\n";
   }
   out += "Connection: close\r\n\r\n";
+  return out;
+}
+
+std::string http_response(int status, std::string_view reason,
+                          std::string_view content_type,
+                          std::string_view body,
+                          const std::vector<std::pair<std::string,
+                                                      std::string>>&
+                              extra_headers) {
+  std::string out =
+      http_head(status, reason, content_type, body.size(), extra_headers);
   out += body;
   return out;
 }

@@ -55,6 +55,15 @@ void split_target(std::string_view target, std::string* path,
 std::optional<std::string> query_param(std::string_view query,
                                        std::string_view key);
 
+/// Serialize a response head alone (status line, headers, blank line)
+/// for a body of `content_length` bytes the caller appends — or, for
+/// HEAD, omits.
+std::string http_head(int status, std::string_view reason,
+                      std::string_view content_type,
+                      std::size_t content_length,
+                      const std::vector<std::pair<std::string, std::string>>&
+                          extra_headers = {});
+
 /// Serialize a response head + body. `content_type` may be empty to omit
 /// the header (204s). Always emits Content-Length and
 /// "Connection: close" — the facade answers one request per connection.

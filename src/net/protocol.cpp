@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/checksum.h"
+#include "kernels/crc32c.h"
 
 namespace transpwr {
 namespace net {
@@ -19,6 +20,18 @@ std::uint32_t header_fnv(std::uint32_t len, std::uint16_t op,
   std::memcpy(raw + 6, &flags, 2);
   std::memcpy(raw + 8, &seq, 4);
   return static_cast<std::uint32_t>(fnv1a64(raw));
+}
+
+/// Checksum of a frame body in the algorithm `flags` names.
+std::uint64_t body_checksum(std::uint16_t flags,
+                            std::span<const std::uint8_t> body) {
+  if (flags & kFlagCrc32c) return kernels::crc32c(body);
+  return fnv1a64(body);
+}
+
+/// A zeroed frame with room for `body_size` body bytes at kBodyOffset.
+std::vector<std::uint8_t> alloc_frame(std::uint64_t body_size) {
+  return std::vector<std::uint8_t>(frame_size(body_size));
 }
 
 }  // namespace
@@ -43,30 +56,64 @@ const char* op_name(Op op) {
   return "unknown";
 }
 
+std::size_t frame_size(std::uint64_t body_size) {
+  if (body_size > kMaxBody)
+    throw ParamError("tprq1: a " + std::to_string(body_size) +
+                     "-byte response exceeds the " +
+                     std::to_string(kMaxBody) +
+                     "-byte frame body limit; fetch it in row ranges with "
+                     "read_rows");
+  return kBodyOffset + static_cast<std::size_t>(body_size);
+}
+
+void seal_frame(std::span<std::uint8_t> frame, std::uint16_t op,
+                std::uint16_t flags, std::uint32_t seq) {
+  const auto len = static_cast<std::uint32_t>(frame.size() - kLenPrefix);
+  const std::uint32_t header = header_fnv(len, op, flags, seq);
+  const std::uint64_t sum = body_checksum(flags, frame.subspan(kBodyOffset));
+  std::uint8_t* p = frame.data();
+  std::memcpy(p + 0, &len, 4);
+  std::memcpy(p + 4, &op, 2);
+  std::memcpy(p + 6, &flags, 2);
+  std::memcpy(p + 8, &seq, 4);
+  std::memcpy(p + 12, &header, 4);
+  std::memcpy(p + 16, &sum, 8);
+}
+
 std::vector<std::uint8_t> encode_frame(std::uint16_t op, std::uint16_t flags,
                                        std::uint32_t seq,
                                        std::span<const std::uint8_t> body) {
-  const std::uint32_t len =
-      static_cast<std::uint32_t>(kFrameOverhead + body.size());
-  ByteWriter out;
-  out.put(len);
-  out.put(op);
-  out.put(flags);
-  out.put(seq);
-  out.put(header_fnv(len, op, flags, seq));
-  out.put(fnv1a64(body));
-  out.put_bytes(body);
-  return out.take();
+  auto frame = alloc_frame(body.size());
+  if (!body.empty())
+    std::memcpy(frame.data() + kBodyOffset, body.data(), body.size());
+  seal_frame(frame, op, flags, seq);
+  return frame;
 }
 
 std::vector<std::uint8_t> encode_error(std::uint16_t op, std::uint32_t seq,
                                        ErrCode code,
-                                       const std::string& message) {
+                                       const std::string& message,
+                                       std::uint16_t flags) {
   ByteWriter body;
   body.put(static_cast<std::uint16_t>(code));
   put_string(body, message);
   auto bytes = body.take();
-  return encode_frame(op, kFlagError, seq, bytes);
+  return encode_frame(op, flags | kFlagError, seq, bytes);
+}
+
+std::vector<std::uint8_t> alloc_payload_frame(DataType dtype,
+                                              const Dims& dims) {
+  const std::uint64_t data = std::uint64_t{dims.count()} * size_of(dtype);
+  auto frame = alloc_frame(kPayloadHead + data);
+  std::uint8_t* p = frame.data() + kBodyOffset;
+  p[0] = static_cast<std::uint8_t>(dtype);
+  p[1] = static_cast<std::uint8_t>(dims.nd);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const std::uint64_t d = dims.d[i];
+    std::memcpy(p + 2 + 8 * i, &d, 8);
+  }
+  std::memcpy(p + 26, &data, 8);
+  return frame;
 }
 
 std::size_t parse_frame_len(std::span<const std::uint8_t> prefix,
@@ -86,13 +133,11 @@ std::size_t parse_frame_len(std::span<const std::uint8_t> prefix,
   return len;
 }
 
-Frame parse_frame_tail(std::uint32_t len,
-                       std::span<const std::uint8_t> tail) {
-  if (tail.size() != len)
-    throw StreamError("tprq1: frame tail is " + std::to_string(tail.size()) +
-                      " bytes, header declared " + std::to_string(len));
-  if (len < kFrameOverhead)
+Frame parse_frame_tail(std::vector<std::uint8_t> tail) {
+  if (tail.size() < kFrameOverhead)
     throw StreamError("tprq1: frame length below the header size");
+  if (tail.size() > 0xffffffffu)
+    throw StreamError("tprq1: frame length exceeds the u32 length field");
   ByteReader in(tail);
   Frame f;
   f.op = in.get<std::uint16_t>();
@@ -100,12 +145,12 @@ Frame parse_frame_tail(std::uint32_t len,
   f.seq = in.get<std::uint32_t>();
   auto declared_header = in.get<std::uint32_t>();
   auto declared_body = in.get<std::uint64_t>();
-  if (declared_header != header_fnv(len, f.op, f.flags, f.seq))
+  if (declared_header != header_fnv(static_cast<std::uint32_t>(tail.size()),
+                                    f.op, f.flags, f.seq))
     throw StreamError("tprq1: header checksum mismatch");
-  auto body = in.get_bytes(len - kFrameOverhead);
-  if (fnv1a64(body) != declared_body)
+  f.tail = std::move(tail);
+  if (body_checksum(f.flags, f.body()) != declared_body)
     throw StreamError("tprq1: body checksum mismatch");
-  f.body.assign(body.begin(), body.end());
   return f;
 }
 
@@ -116,8 +161,8 @@ Frame parse_frame(std::span<const std::uint8_t> bytes,
     throw StreamError("tprq1: frame is " + std::to_string(bytes.size()) +
                       " bytes, length prefix declares " +
                       std::to_string(kLenPrefix + len));
-  return parse_frame_tail(static_cast<std::uint32_t>(len),
-                          bytes.subspan(kLenPrefix));
+  return parse_frame_tail(
+      std::vector<std::uint8_t>(bytes.begin() + kLenPrefix, bytes.end()));
 }
 
 void parse_error_body(std::span<const std::uint8_t> body, ErrCode* code,

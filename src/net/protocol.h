@@ -9,6 +9,7 @@
 
 #include "common/bytestream.h"
 #include "common/error.h"
+#include "common/types.h"
 
 namespace transpwr {
 namespace net {
@@ -20,18 +21,22 @@ namespace net {
 ///   u32 len        bytes that follow this field (kFrameOverhead + body)
 ///   u16 op         Op below; responses echo the request op
 ///   u16 flags      bit 0 (kFlagError): error response, body is code+msg
+///                  bit 1 (kFlagCrc32c): body_sum is CRC32C, not FNV
 ///   u32 seq        correlation id, echoed verbatim in the response
 ///   u32 header_fnv fnv1a64 of the 12 bytes above, truncated to 32 bits
-///   u64 body_fnv   fnv1a64 of the body bytes
+///   u64 body_sum   fnv1a64 of the body bytes, or with kFlagCrc32c their
+///                  crc32c zero-extended
 ///   u8  body[len - kFrameOverhead]
 ///
 /// All integers are little-endian, like every transpwr container. The
 /// checksums exist for the same reason the TPAR footer checksum does: a
 /// torn or bit-rotted frame is rejected with a clean StreamError instead
-/// of being dispatched. `len` is capped (`max_frame` — the
-/// TRANSPWR_SERVE_MAX_FRAME knob, DecodeGuard-style) before anything is
-/// allocated, so a hostile 2^31 length costs the peer a closed
-/// connection, not 2 GiB of server memory.
+/// of being dispatched. The body checksum is the only per-byte cost of
+/// the wire, so clients ask for the hardware CRC32C; a peer answers in
+/// the algorithm the request named, which keeps FNV-only clients served.
+/// `len` is capped (`max_frame` — the TRANSPWR_SERVE_MAX_FRAME knob,
+/// DecodeGuard-style) before anything is allocated, so a hostile 2^31
+/// length costs the peer a closed connection, not 2 GiB of server memory.
 ///
 /// Versioning: the protocol name *is* the version ("TPRQ1"); a client's
 /// first exchange is expected to be kPing, whose response body is the
@@ -79,6 +84,7 @@ bool known_op(std::uint16_t op);
 const char* op_name(Op op);
 
 constexpr std::uint16_t kFlagError = 1u << 0;
+constexpr std::uint16_t kFlagCrc32c = 1u << 1;
 
 /// Error codes carried in an error response body (u16 code + string).
 enum class ErrCode : std::uint16_t {
@@ -94,6 +100,10 @@ enum class ErrCode : std::uint16_t {
 constexpr std::size_t kFrameOverhead = 20;
 /// Size of the length prefix itself.
 constexpr std::size_t kLenPrefix = 4;
+/// Offset of the body in an encoded frame.
+constexpr std::size_t kBodyOffset = kLenPrefix + kFrameOverhead;
+/// Largest body a frame can carry: `len` is a u32 that counts the header.
+constexpr std::uint64_t kMaxBody = 0xffffffffu - kFrameOverhead;
 
 /// Hard floor every max-frame configuration is clamped to: a frame must
 /// at least hold its own header plus a small body.
@@ -101,15 +111,31 @@ constexpr std::size_t kMinMaxFrame = kFrameOverhead + 256;
 /// Default inbound frame cap (TRANSPWR_SERVE_MAX_FRAME overrides).
 constexpr std::size_t kDefaultMaxFrame = 64u << 20;
 
-/// One parsed frame. `body` is owned so a frame outlives the recv buffer.
+/// One parsed frame. It keeps the bytes received after the length prefix,
+/// so the body is a view into them rather than a copy.
 struct Frame {
   std::uint16_t op = 0;
   std::uint16_t flags = 0;
   std::uint32_t seq = 0;
-  std::vector<std::uint8_t> body;
+  std::vector<std::uint8_t> tail;  ///< header + body, as received
 
+  std::span<const std::uint8_t> body() const {
+    if (tail.size() <= kFrameOverhead) return {};
+    return std::span<const std::uint8_t>(tail).subspan(kFrameOverhead);
+  }
   bool is_error() const { return (flags & kFlagError) != 0; }
 };
+
+/// Encoded size of a frame carrying `body_size` body bytes. Throws
+/// ParamError when the body does not fit the u32 length field, so an
+/// oversized response is refused before anything is allocated.
+std::size_t frame_size(std::uint64_t body_size);
+
+/// Write the header of a frame whose body is already in place at
+/// kBodyOffset, including the body checksum in the algorithm `flags`
+/// names.
+void seal_frame(std::span<std::uint8_t> frame, std::uint16_t op,
+                std::uint16_t flags, std::uint32_t seq);
 
 /// Serialize a frame (length prefix, checksummed header, body).
 std::vector<std::uint8_t> encode_frame(std::uint16_t op, std::uint16_t flags,
@@ -122,10 +148,23 @@ inline std::vector<std::uint8_t> encode_frame(Op op, std::uint16_t flags,
   return encode_frame(static_cast<std::uint16_t>(op), flags, seq, body);
 }
 
-/// Build an error response frame for `seq`.
+/// Build an error response frame for `seq`; `flags` may add kFlagCrc32c.
 std::vector<std::uint8_t> encode_error(std::uint16_t op, std::uint32_t seq,
                                        ErrCode code,
-                                       const std::string& message);
+                                       const std::string& message,
+                                       std::uint16_t flags = 0);
+
+/// kLoad / kReadRows response body: u8 dtype, u8 nd, 3 x u64 dims, then
+/// the u64-sized raw little-endian element bytes. kPayloadHead is the
+/// part before the elements.
+constexpr std::size_t kPayloadHead = 1 + 1 + 3 * 8 + 8;
+
+/// A kLoad / kReadRows response frame for `dims` elements of `dtype`,
+/// payload head written and element bytes zeroed at its end: copy them in
+/// (bytewise — they are not element-aligned), then seal the frame. Throws
+/// ParamError, before allocating, when the elements do not fit one frame.
+std::vector<std::uint8_t> alloc_payload_frame(DataType dtype,
+                                              const Dims& dims);
 
 /// Parse the u32 length prefix and validate it against `max_frame`.
 /// Returns the number of bytes that must follow (kFrameOverhead..cap).
@@ -144,9 +183,9 @@ Frame parse_frame(std::span<const std::uint8_t> bytes,
 
 /// Parse the header+body *tail* of a frame whose length prefix was
 /// already consumed (the socket read path: read 4 bytes, size-check,
-/// read `len` more, hand them here). `tail.size()` must equal the
-/// parsed length.
-Frame parse_frame_tail(std::uint32_t len, std::span<const std::uint8_t> tail);
+/// read `len` more, hand them here). The frame takes ownership of `tail`,
+/// whose size is the parsed length.
+Frame parse_frame_tail(std::vector<std::uint8_t> tail);
 
 /// Decode an error-response body (u16 code + sized string). Throws
 /// StreamError when the body is not a well-formed error payload.

@@ -58,20 +58,30 @@ const store::DatasetInfo& find_dataset(const store::ArchiveReader& reader,
   throw NotFoundError("serve: no such dataset: " + name);
 }
 
-/// kLoad / kReadRows response body: u8 dtype, u8 nd, 3 x u64 dims,
-/// u64-sized raw little-endian element bytes.
-template <typename T>
-std::vector<std::uint8_t> encode_payload(const Dims& dims,
-                                         const std::vector<T>& data) {
-  ByteWriter out;
-  out.put<std::uint8_t>(static_cast<std::uint8_t>(data_type_of<T>()));
-  out.put<std::uint8_t>(static_cast<std::uint8_t>(dims.nd));
-  for (int i = 0; i < 3; ++i)
-    out.put<std::uint64_t>(dims.d[static_cast<std::size_t>(i)]);
-  out.put_sized(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(data.data()),
-      data.size() * sizeof(T)));
-  return out.take();
+/// Answers use the body checksum the request named (FNV clients predate
+/// the kFlagCrc32c bit).
+std::uint16_t reply_flags(const net::Frame& req) {
+  return req.flags & net::kFlagCrc32c;
+}
+
+/// Every rows response — TPRQ1 kLoad / kReadRows and HTTP /rows — is built
+/// in one buffer. `head(dtype, dims, nbytes)` sizes the whole response from
+/// the range's shape, before anything is copied, and returns it with the
+/// protocol head laid out and the last `nbytes` left for the elements; the
+/// rows are then copied in once, straight from the chunk cache.
+template <typename Head>
+auto rows_response(store::ArchiveReader& reader, const std::string& dataset,
+                   std::uint64_t row_begin, std::uint64_t row_end,
+                   std::size_t threads, Head&& head) {
+  const DataType dtype = find_dataset(reader, dataset).dtype;
+  const auto b = static_cast<std::size_t>(row_begin);
+  const auto e = static_cast<std::size_t>(row_end);
+  const Dims dims = reader.rows_dims(dataset, b, e);
+  const std::size_t nbytes = dims.count() * size_of(dtype);
+  auto buf = head(dtype, dims, nbytes);
+  auto* end = reinterpret_cast<std::uint8_t*>(buf.data()) + buf.size();
+  reader.read_rows_into(dataset, b, e, {end - nbytes, nbytes}, threads);
+  return buf;
 }
 
 std::string json_quoted(std::string_view s) {
@@ -253,12 +263,12 @@ void Server::handle_tprq_connection(net::Socket sock) {
     }
     obs::counter_add("server.requests");
     obs::counter_add("server.bytes_in",
-                     net::kLenPrefix + net::kFrameOverhead + req.body.size());
+                     net::kLenPrefix + req.tail.size());
     std::vector<std::uint8_t> resp;
     if (stopping() &&
         req.op != static_cast<std::uint16_t>(net::Op::kShutdown)) {
       resp = net::encode_error(req.op, req.seq, net::ErrCode::kShuttingDown,
-                               "server is draining");
+                               "server is draining", reply_flags(req));
     } else {
       resp = dispatch(req);
     }
@@ -280,36 +290,37 @@ std::vector<std::uint8_t> Server::dispatch(const net::Frame& req) {
   } catch (const NotFoundError& e) {
     obs::counter_add("server.errors");
     return net::encode_error(req.op, req.seq, net::ErrCode::kNotFound,
-                             e.what());
+                             e.what(), reply_flags(req));
   } catch (const ParamError& e) {
     obs::counter_add("server.errors");
     return net::encode_error(req.op, req.seq, net::ErrCode::kBadRequest,
-                             e.what());
+                             e.what(), reply_flags(req));
   } catch (const StreamError& e) {
     obs::counter_add("server.errors");
     return net::encode_error(req.op, req.seq, net::ErrCode::kBadState,
-                             e.what());
+                             e.what(), reply_flags(req));
   } catch (const std::exception& e) {
     obs::counter_add("server.errors");
     return net::encode_error(req.op, req.seq, net::ErrCode::kInternal,
-                             e.what());
+                             e.what(), reply_flags(req));
   }
 }
 
 std::vector<std::uint8_t> Server::handle_op(const net::Frame& req) {
   if (!net::known_op(req.op))
     return net::encode_error(req.op, req.seq, net::ErrCode::kBadOp,
-                             "unknown op " + std::to_string(req.op));
-  ByteReader in(req.body);
+                             "unknown op " + std::to_string(req.op),
+                             reply_flags(req));
+  ByteReader in(req.body());
   ByteWriter out;
   switch (static_cast<net::Op>(req.op)) {
     case net::Op::kPing: {
-      if (req.body.size() > kMaxPingEcho)
+      if (req.body().size() > kMaxPingEcho)
         throw ParamError("serve: ping echo payload too large");
       out.put_bytes(std::span<const std::uint8_t>(
           reinterpret_cast<const std::uint8_t*>(net::kMagic),
           sizeof net::kMagic));
-      out.put_bytes(req.body);
+      out.put_bytes(req.body());
       break;
     }
     case net::Op::kList: {
@@ -339,43 +350,26 @@ std::vector<std::uint8_t> Server::handle_op(const net::Frame& req) {
       }
       break;
     }
-    case net::Op::kLoad: {
-      auto archive = net::get_string(in);
-      auto dataset = net::get_string(in);
-      require_drained(in, "load");
-      auto reader = registry_.open(archive);
-      const auto& ds = find_dataset(*reader, dataset);
-      Dims dims;
-      if (ds.dtype == DataType::kFloat32) {
-        auto data = reader->load<float>(dataset, &dims, opts_.decode_threads);
-        return net::encode_frame(req.op, 0, req.seq,
-                                 encode_payload(dims, data));
-      }
-      auto data = reader->load<double>(dataset, &dims, opts_.decode_threads);
-      return net::encode_frame(req.op, 0, req.seq,
-                               encode_payload(dims, data));
-    }
+    case net::Op::kLoad:
     case net::Op::kReadRows: {
+      const bool load = req.op == static_cast<std::uint16_t>(net::Op::kLoad);
       auto archive = net::get_string(in);
       auto dataset = net::get_string(in);
-      auto row_begin = in.get<std::uint64_t>();
-      auto row_end = in.get<std::uint64_t>();
-      require_drained(in, "read_rows");
-      auto reader = registry_.open(archive);
-      const auto& ds = find_dataset(*reader, dataset);
-      Dims dims;
-      if (ds.dtype == DataType::kFloat32) {
-        auto data = reader->read_rows<float>(
-            dataset, static_cast<std::size_t>(row_begin),
-            static_cast<std::size_t>(row_end), &dims, opts_.decode_threads);
-        return net::encode_frame(req.op, 0, req.seq,
-                                 encode_payload(dims, data));
+      std::uint64_t row_begin = 0, row_end = 0;
+      if (!load) {
+        row_begin = in.get<std::uint64_t>();
+        row_end = in.get<std::uint64_t>();
       }
-      auto data = reader->read_rows<double>(
-          dataset, static_cast<std::size_t>(row_begin),
-          static_cast<std::size_t>(row_end), &dims, opts_.decode_threads);
-      return net::encode_frame(req.op, 0, req.seq,
-                               encode_payload(dims, data));
+      require_drained(in, load ? "load" : "read_rows");
+      auto reader = registry_.open(archive);
+      if (load) row_end = find_dataset(*reader, dataset).dims[0];
+      auto frame = rows_response(
+          *reader, dataset, row_begin, row_end, opts_.decode_threads,
+          [](DataType dtype, const Dims& dims, std::size_t) {
+            return net::alloc_payload_frame(dtype, dims);
+          });
+      net::seal_frame(frame, req.op, reply_flags(req), req.seq);
+      return frame;
     }
     case net::Op::kChunkBytes: {
       auto archive = net::get_string(in);
@@ -485,7 +479,7 @@ std::vector<std::uint8_t> Server::handle_op(const net::Frame& req) {
     }
   }
   auto body = out.take();
-  return net::encode_frame(req.op, 0, req.seq, body);
+  return net::encode_frame(req.op, reply_flags(req), req.seq, body);
 }
 
 void Server::handle_http_connection(net::Socket sock) {
@@ -557,9 +551,9 @@ std::string Server::route_http(const net::HttpRequest& req) {
     return net::http_response(405, "Method Not Allowed", "text/plain",
                               "GET and HEAD only\n",
                               {{"Allow", "GET, HEAD"}});
+  std::string resp;  // set directly by routes that build their own
   std::string body;
   std::string content_type = "application/json";
-  std::vector<std::pair<std::string, std::string>> extra;
   try {
     auto segs = path_segments(req.path);
     if (req.path == "/healthz") {
@@ -635,32 +629,31 @@ std::string Server::route_http(const net::HttpRequest& req) {
           net::query_param(req.query, "encoding").value_or("base64");
       if (encoding != "base64" && encoding != "raw")
         throw ParamError("serve: encoding must be base64 or raw");
+      auto dtype_name = [](DataType t) {
+        return t == DataType::kFloat32 ? "f32" : "f64";
+      };
       auto reader = registry_.open(segs[1]);
-      const auto& ds = find_dataset(*reader, segs[3]);
-      Dims dims;
-      std::vector<std::uint8_t> bytes;
-      if (ds.dtype == DataType::kFloat32) {
-        auto data = reader->read_rows<float>(
-            segs[3], static_cast<std::size_t>(row_begin),
-            static_cast<std::size_t>(row_end), &dims, opts_.decode_threads);
-        bytes.assign(reinterpret_cast<const std::uint8_t*>(data.data()),
-                     reinterpret_cast<const std::uint8_t*>(data.data() +
-                                                           data.size()));
-      } else {
-        auto data = reader->read_rows<double>(
-            segs[3], static_cast<std::size_t>(row_begin),
-            static_cast<std::size_t>(row_end), &dims, opts_.decode_threads);
-        bytes.assign(reinterpret_cast<const std::uint8_t*>(data.data()),
-                     reinterpret_cast<const std::uint8_t*>(data.data() +
-                                                           data.size()));
-      }
-      const char* dtype = ds.dtype == DataType::kFloat32 ? "f32" : "f64";
       if (encoding == "raw") {
-        content_type = "application/octet-stream";
-        extra.emplace_back("X-Transpwr-Dtype", dtype);
-        extra.emplace_back("X-Transpwr-Dims", dims.to_string());
-        body.assign(bytes.begin(), bytes.end());
+        resp = rows_response(
+            *reader, segs[3], row_begin, row_end, opts_.decode_threads,
+            [&](DataType dtype, const Dims& dims, std::size_t nbytes) {
+              std::string r = net::http_head(
+                  200, "OK", "application/octet-stream", nbytes,
+                  {{"X-Transpwr-Dtype", dtype_name(dtype)},
+                   {"X-Transpwr-Dims", dims.to_string()}});
+              r.resize(r.size() + nbytes);
+              return r;
+            });
       } else {
+        DataType dtype{};
+        Dims dims;
+        auto bytes = rows_response(
+            *reader, segs[3], row_begin, row_end, opts_.decode_threads,
+            [&](DataType t, const Dims& d, std::size_t nbytes) {
+              dtype = t;
+              dims = d;
+              return std::vector<std::uint8_t>(nbytes);
+            });
         body = "{\"archive\":";
         body += json_quoted(segs[1]);
         body += ",\"dataset\":";
@@ -670,7 +663,7 @@ std::string Server::route_http(const net::HttpRequest& req) {
         body += ',';
         body += std::to_string(row_end);
         body += "],\"dtype\":\"";
-        body += dtype;
+        body += dtype_name(dtype);
         body += "\",\"dims\":[";
         for (int i = 0; i < dims.nd; ++i) {
           if (i) body += ',';
@@ -700,7 +693,7 @@ std::string Server::route_http(const net::HttpRequest& req) {
     return net::http_response(500, "Internal Server Error", "text/plain",
                               std::string(e.what()) + "\n");
   }
-  std::string resp = net::http_response(200, "OK", content_type, body, extra);
+  if (resp.empty()) resp = net::http_response(200, "OK", content_type, body);
   if (is_head) {
     // Same head (Content-Length included, per RFC 7231) with no body.
     std::size_t blank = resp.find("\r\n\r\n");

@@ -869,7 +869,8 @@ std::vector<T> decode_chunk(const DatasetInfo& ds, std::size_t chunk,
 template <typename T>
 void ArchiveReader::copy_chunk_elems(std::size_t ds_index, std::size_t chunk,
                                      std::size_t elem_begin,
-                                     std::size_t elem_count, T* dst) {
+                                     std::size_t elem_count,
+                                     std::uint8_t* dst) {
   const DatasetInfo& ds = directory_[ds_index];
   const ChunkInfo& c = ds.chunks[chunk];
   ChunkCache& cache = ChunkCache::instance();
@@ -891,6 +892,51 @@ void ArchiveReader::copy_chunk_elems(std::size_t ds_index, std::size_t chunk,
 }
 
 template <typename T>
+void ArchiveReader::copy_rows(std::size_t ds_index, std::size_t row_begin,
+                              std::size_t row_end, std::uint8_t* dst,
+                              std::size_t threads) {
+  const DatasetInfo& ds = directory_[ds_index];
+  const std::size_t row_elems = ds.dims.count() / ds.dims[0];
+
+  // Chunks overlapping the row range; only these are touched (and thus
+  // lazily checksummed). I/O, verification, and decode all happen inside
+  // the workers: chunk bytes come from the mapping (or positional reads)
+  // with no shared seek position, so nothing below serializes.
+  struct Wanted {
+    std::size_t chunk;
+    std::size_t chunk_row_begin;
+  };
+  std::vector<Wanted> wanted;
+  std::size_t at = 0;
+  for (std::size_t i = 0; i < ds.chunks.size(); ++i) {
+    const std::size_t rows = static_cast<std::size_t>(ds.chunks[i].rows);
+    if (at < row_end && at + rows > row_begin) wanted.push_back({i, at});
+    at += rows;
+  }
+
+  ParallelOptions opts;
+  opts.max_threads = resolve_threads(threads);
+  opts.grain = 1;
+  parallel_for(
+      wanted.size(),
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t w = begin; w < end; ++w) {
+          const Wanted& item = wanted[w];
+          const std::size_t rows =
+              static_cast<std::size_t>(ds.chunks[item.chunk].rows);
+          const std::size_t from = std::max(item.chunk_row_begin, row_begin);
+          const std::size_t to =
+              std::min(item.chunk_row_begin + rows, row_end);
+          copy_chunk_elems<T>(
+              ds_index, item.chunk, (from - item.chunk_row_begin) * row_elems,
+              (to - from) * row_elems,
+              dst + (from - row_begin) * row_elems * sizeof(T));
+        }
+      },
+      opts);
+}
+
+template <typename T>
 std::vector<T> ArchiveReader::load(const std::string& name, Dims* dims_out,
                                    std::size_t threads) {
   obs::Span root_span("archive.load");
@@ -902,33 +948,9 @@ std::vector<T> ArchiveReader::load(const std::string& name, Dims* dims_out,
   const std::size_t n = checked_count(ds.dims, "archive");
   check_decode_alloc(n, sizeof(T), "archive");
   if (dims_out) *dims_out = ds.dims;
-  const std::size_t row_elems = n / ds.dims[0];
-
-  std::vector<std::uint64_t> row_begin(ds.chunks.size());
-  std::uint64_t at = 0;
-  for (std::size_t i = 0; i < ds.chunks.size(); ++i) {
-    row_begin[i] = at;
-    at += ds.chunks[i].rows;
-  }
-
-  // I/O, verification, and decode all happen inside the workers: chunk
-  // bytes come from the mapping (or positional reads) with no shared
-  // seek position, so nothing below serializes.
   std::vector<T> out(n);
-  ParallelOptions opts;
-  opts.max_threads = resolve_threads(threads);
-  opts.grain = 1;
-  parallel_for(
-      ds.chunks.size(),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const std::size_t elems =
-              static_cast<std::size_t>(ds.chunks[i].rows) * row_elems;
-          copy_chunk_elems<T>(di, i, 0, elems,
-                              out.data() + row_begin[i] * row_elems);
-        }
-      },
-      opts);
+  copy_rows<T>(di, 0, ds.dims[0], reinterpret_cast<std::uint8_t*>(out.data()),
+               threads);
   return out;
 }
 
@@ -947,9 +969,38 @@ std::vector<T> ArchiveReader::load_chunk(const std::string& name,
   cdims.d[0] = static_cast<std::size_t>(ds.chunks[chunk].rows);
   check_decode_alloc(cdims.count(), sizeof(T), "archive");
   std::vector<T> out(cdims.count());
-  copy_chunk_elems<T>(di, chunk, 0, out.size(), out.data());
+  copy_chunk_elems<T>(di, chunk, 0, out.size(),
+                      reinterpret_cast<std::uint8_t*>(out.data()));
   if (chunk_dims_out) *chunk_dims_out = cdims;
   return out;
+}
+
+Dims ArchiveReader::rows_dims(const std::string& name, std::size_t row_begin,
+                              std::size_t row_end) const {
+  const DatasetInfo& ds = directory_[dataset_index(name)];
+  if (row_begin >= row_end || row_end > ds.dims[0])
+    throw ParamError("archive: row range out of bounds");
+  Dims roi = ds.dims;
+  roi.d[0] = row_end - row_begin;
+  check_decode_alloc(roi.count(), size_of(ds.dtype), "archive");
+  return roi;
+}
+
+void ArchiveReader::read_rows_into(const std::string& name,
+                                   std::size_t row_begin, std::size_t row_end,
+                                   std::span<std::uint8_t> dst,
+                                   std::size_t threads) {
+  obs::Span root_span("archive.read_rows");
+  const std::size_t di = dataset_index(name);
+  const DataType dtype = directory_[di].dtype;
+  if (dst.size() != rows_dims(name, row_begin, row_end).count() *
+                        size_of(dtype))
+    throw ParamError("archive: read_rows_into buffer does not match the "
+                     "row range");
+  if (dtype == DataType::kFloat32)
+    copy_rows<float>(di, row_begin, row_end, dst.data(), threads);
+  else
+    copy_rows<double>(di, row_begin, row_end, dst.data(), threads);
 }
 
 template <typename T>
@@ -958,56 +1009,16 @@ std::vector<T> ArchiveReader::read_rows(const std::string& name,
                                         std::size_t row_end,
                                         Dims* roi_dims_out,
                                         std::size_t threads) {
-  obs::Span root_span("archive.read_rows");
-  const std::size_t di = dataset_index(name);
-  const DatasetInfo& ds = directory_[di];
-  if (ds.dtype != data_type_of<T>())
+  if (dataset(name).dtype != data_type_of<T>())
     throw StreamError("archive: dataset " + name +
                       " data type does not match");
-  if (row_begin >= row_end || row_end > ds.dims[0])
-    throw ParamError("archive: row range out of bounds");
-  const std::size_t n = checked_count(ds.dims, "archive");
-  const std::size_t row_elems = n / ds.dims[0];
-  Dims roi = ds.dims;
-  roi.d[0] = row_end - row_begin;
-  check_decode_alloc(roi.count(), sizeof(T), "archive");
+  const Dims roi = rows_dims(name, row_begin, row_end);
   if (roi_dims_out) *roi_dims_out = roi;
-
-  // Chunks overlapping the row range; only these are touched (and thus
-  // lazily checksummed).
-  struct Wanted {
-    std::size_t chunk;
-    std::size_t chunk_row_begin;
-  };
-  std::vector<Wanted> wanted;
-  std::size_t at = 0;
-  for (std::size_t i = 0; i < ds.chunks.size(); ++i) {
-    const std::size_t rows = static_cast<std::size_t>(ds.chunks[i].rows);
-    if (at < row_end && at + rows > row_begin) wanted.push_back({i, at});
-    at += rows;
-  }
-
   std::vector<T> out(roi.count());
-  ParallelOptions opts;
-  opts.max_threads = resolve_threads(threads);
-  opts.grain = 1;
-  parallel_for(
-      wanted.size(),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t w = begin; w < end; ++w) {
-          const Wanted& item = wanted[w];
-          const std::size_t rows =
-              static_cast<std::size_t>(ds.chunks[item.chunk].rows);
-          const std::size_t from = std::max(item.chunk_row_begin, row_begin);
-          const std::size_t to =
-              std::min(item.chunk_row_begin + rows, row_end);
-          copy_chunk_elems<T>(di, item.chunk,
-                              (from - item.chunk_row_begin) * row_elems,
-                              (to - from) * row_elems,
-                              out.data() + (from - row_begin) * row_elems);
-        }
-      },
-      opts);
+  read_rows_into(name, row_begin, row_end,
+                 {reinterpret_cast<std::uint8_t*>(out.data()),
+                  out.size() * sizeof(T)},
+                 threads);
   return out;
 }
 

@@ -270,6 +270,21 @@ class ArchiveReader {
                            std::size_t row_end, Dims* roi_dims_out = nullptr,
                            std::size_t threads = 0);
 
+  /// Shape of rows [row_begin, row_end) of dataset `name`, so a caller can
+  /// size its buffer before reading. Throws ParamError when the range is
+  /// empty or out of bounds, and the decode guard's error when it is too
+  /// large to materialize.
+  Dims rows_dims(const std::string& name, std::size_t row_begin,
+                 std::size_t row_end) const;
+
+  /// read_rows into caller memory: `dst` receives the rows' raw
+  /// little-endian element bytes (any alignment) and must be exactly
+  /// rows_dims(...).count() elements of the dataset's type long. Cached
+  /// chunks are copied straight in; nothing else is allocated.
+  void read_rows_into(const std::string& name, std::size_t row_begin,
+                      std::size_t row_end, std::span<std::uint8_t> dst,
+                      std::size_t threads = 0);
+
   /// Read one chunk's raw compressed stream, checksum-verified. Lets
   /// callers that time I/O separately from decode (the Fig. 6 harness)
   /// split the phases.
@@ -294,12 +309,18 @@ class ArchiveReader {
   ChunkBytes chunk_bytes(std::size_t ds_index, std::size_t chunk);
 
   /// Copy `elem_count` elements of one chunk's decoded payload, starting
-  /// at `elem_begin`, into `dst` — served from the shared decoded-chunk
-  /// cache on a hit, decoded (and inserted) on a miss.
+  /// at `elem_begin`, into the bytes at `dst` — served from the shared
+  /// decoded-chunk cache on a hit, decoded (and inserted) on a miss.
   template <typename T>
   void copy_chunk_elems(std::size_t ds_index, std::size_t chunk,
                         std::size_t elem_begin, std::size_t elem_count,
-                        T* dst);
+                        std::uint8_t* dst);
+
+  /// Copy rows [row_begin, row_end) of dataset `ds_index` to `dst`,
+  /// touching only the chunks that overlap them, in parallel.
+  template <typename T>
+  void copy_rows(std::size_t ds_index, std::size_t row_begin,
+                 std::size_t row_end, std::uint8_t* dst, std::size_t threads);
 
   std::size_t dataset_index(const std::string& name) const;
   bool chunk_verified(std::size_t flat_index) const;

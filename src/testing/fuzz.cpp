@@ -309,9 +309,9 @@ std::vector<FuzzTarget> default_fuzz_targets(std::uint64_t seed) {
     FuzzTarget t;
     t.name = "net_frame";
     // Corpus: one well-formed TPRQ1 frame per interesting shape (simple
-    // op, string-carrying request, error response) plus an HTTP request
-    // head, so mutants exercise both wire parsers the server feeds with
-    // attacker-controlled bytes.
+    // op, string-carrying request under each body checksum, error
+    // response) plus an HTTP request head, so mutants exercise both wire
+    // parsers the server feeds with attacker-controlled bytes.
     std::vector<std::vector<std::uint8_t>> corpus;
     corpus.push_back(net::encode_frame(net::Op::kPing, 0, 1,
                                        bytes_corpus(seed + 8, 16, false)));
@@ -324,6 +324,8 @@ std::vector<FuzzTarget> default_fuzz_targets(std::uint64_t seed) {
       auto body_bytes = body.take();
       corpus.push_back(
           net::encode_frame(net::Op::kReadRows, 0, 7, body_bytes));
+      corpus.push_back(net::encode_frame(net::Op::kReadRows,
+                                         net::kFlagCrc32c, 8, body_bytes));
     }
     corpus.push_back(net::encode_error(
         static_cast<std::uint16_t>(net::Op::kLoad), 9,
@@ -346,7 +348,7 @@ std::vector<FuzzTarget> default_fuzz_targets(std::uint64_t seed) {
         if (f.is_error()) {
           net::ErrCode code{};
           std::string message;
-          net::parse_error_body(f.body, &code, &message);
+          net::parse_error_body(f.body(), &code, &message);
         }
       } catch (const Error&) {
       }

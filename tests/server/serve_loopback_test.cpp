@@ -3,13 +3,19 @@
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/bytestream.h"
+#include "common/checksum.h"
 #include "common/error.h"
 #include "data/generators.h"
+#include "kernels/crc32c.h"
+#include "net/frame_io.h"
 #include "net/client.h"
 #include "net/socket.h"
 #include "obs/obs.h"
@@ -58,9 +64,14 @@ class ServeLoopback : public ::testing::Test {
 
   /// One-shot HTTP GET against the facade; returns the full response.
   std::string http_get(const std::string& target) {
+    return http_request("GET", target);
+  }
+
+  std::string http_request(const std::string& method,
+                           const std::string& target) {
     net::Socket s =
         net::Socket::connect("127.0.0.1", server_->http_port());
-    s.send_all("GET " + target + " HTTP/1.1\r\nHost: t\r\n\r\n");
+    s.send_all(method + " " + target + " HTTP/1.1\r\nHost: t\r\n\r\n");
     std::string out;
     std::uint8_t buf[4096];
     while (std::size_t n = s.recv_some(buf, /*timeout_ms=*/5000))
@@ -141,6 +152,126 @@ TEST_F(ServeLoopback, WholeDatasetLoadMatchesLocal) {
   EXPECT_EQ(payload.as<float>(), full);
 }
 
+template <typename T>
+std::vector<std::uint8_t> as_bytes(const std::vector<T>& v) {
+  const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
+  return {p, p + v.size() * sizeof(T)};
+}
+
+/// Removes a file when the test ends, however it ends.
+struct RemoveOnExit {
+  std::string path;
+  ~RemoveOnExit() { std::remove(path.c_str()); }
+};
+
+// Every rows response — TPRQ1 read_rows and load, HTTP raw and base64 —
+// carries exactly the bytes a local ArchiveReader returns, for both
+// element types, in ranges inside one chunk, across a chunk seam, and in
+// the short last chunk.
+TEST_F(ServeLoopback, RowsResponsesMatchLocalReads) {
+  const std::string path = dir_ + "/mixed.tpar";
+  RemoveOnExit cleanup{path};
+  {
+    const Dims dims(20, 8, 8);  // chunks of 8, 8 and 4 rows
+    auto f = gen::hurricane_wind(dims, 3);
+    std::vector<double> d(dims.count());
+    for (std::size_t i = 0; i < d.size(); ++i)
+      d[i] = (i % 3 == 0 ? -1.0 : 1.0) * (0.5 + static_cast<double>(i % 97));
+    store::ArchiveWriter w(path);
+    store::DatasetOptions opts;
+    opts.scheme = Scheme::kSzT;
+    opts.params.bound = 1e-3;
+    opts.rows_per_chunk = 8;
+    w.add_dataset<float>("f32", f.span(), dims, opts);
+    w.add_dataset<double>("f64", std::span<const double>(d), dims, opts);
+    w.finish();
+  }
+  store::ArchiveReader local(path);
+  net::Client c("127.0.0.1", server_->port());
+  for (const std::string name : {"f32", "f64"}) {
+    const bool f32 = name == "f32";
+    auto local_rows = [&](std::size_t b, std::size_t e) {
+      return f32 ? as_bytes(local.read_rows<float>(name, b, e))
+                 : as_bytes(local.read_rows<double>(name, b, e));
+    };
+    EXPECT_EQ(c.load("mixed.tpar", name).bytes,
+              f32 ? as_bytes(local.load<float>(name))
+                  : as_bytes(local.load<double>(name)));
+    for (auto [b, e] : {std::pair<std::size_t, std::size_t>{1, 5},
+                        {6, 10},
+                        {17, 20}}) {
+      SCOPED_TRACE(name + " rows " + std::to_string(b) + ":" +
+                   std::to_string(e));
+      const auto want = local_rows(b, e);
+      auto remote = c.read_rows("mixed.tpar", name, b, e);
+      EXPECT_EQ(remote.dims, Dims(e - b, 8, 8));
+      EXPECT_EQ(remote.bytes, want);
+
+      const std::string target = "/archives/mixed.tpar/datasets/" + name +
+                                 "/rows?range=" + std::to_string(b) + ":" +
+                                 std::to_string(e);
+      const std::string raw = http_get(target + "&encoding=raw");
+      EXPECT_EQ(body_of(raw), std::string(want.begin(), want.end()));
+      EXPECT_NE(raw.find(std::string("X-Transpwr-Dtype: ") +
+                         (f32 ? "f32" : "f64")),
+                std::string::npos);
+      // HEAD: the GET's head byte for byte, Content-Length included, and
+      // no body.
+      EXPECT_EQ(http_request("HEAD", target + "&encoding=raw"),
+                raw.substr(0, raw.find("\r\n\r\n") + 4));
+
+      const std::string json = body_of(http_get(target));
+      EXPECT_TRUE(obs::json_valid(json)) << json;
+      EXPECT_NE(json.find("\"data\":\"" + net::base64_encode(want) + "\""),
+                std::string::npos);
+    }
+  }
+}
+
+// A client from before the kFlagCrc32c bit sends FNV frames; the server
+// answers each request in the checksum algorithm the request used.
+TEST_F(ServeLoopback, LegacyFnvClientServed) {
+  store::ArchiveReader local(archive_path_);
+  const auto want = as_bytes(local.read_rows<float>("wind", 6, 10));
+  ByteWriter req;
+  net::put_string(req, "snapshots.tpar");
+  net::put_string(req, "wind");
+  req.put<std::uint64_t>(6);
+  req.put<std::uint64_t>(10);
+  const auto body = req.take();
+
+  net::Socket s = net::Socket::connect("127.0.0.1", server_->port());
+  for (std::uint16_t flags : {std::uint16_t{0}, net::kFlagCrc32c}) {
+    SCOPED_TRACE("request flags " + std::to_string(flags));
+    s.send_all(net::encode_frame(net::Op::kReadRows, flags, 7, body));
+    std::uint8_t prefix[net::kLenPrefix];
+    ASSERT_TRUE(s.recv_exact(prefix, /*timeout_ms=*/5000));
+    std::uint32_t len;
+    std::memcpy(&len, prefix, 4);
+    std::vector<std::uint8_t> tail(len);
+    ASSERT_TRUE(s.recv_exact(tail, /*timeout_ms=*/5000));
+    std::uint16_t resp_flags;
+    std::memcpy(&resp_flags, tail.data() + 2, 2);
+    EXPECT_EQ(resp_flags, flags);
+    std::uint64_t sum;
+    std::memcpy(&sum, tail.data() + 12, 8);
+    const std::span<const std::uint8_t> resp_body =
+        std::span<const std::uint8_t>(tail).subspan(net::kFrameOverhead);
+    EXPECT_EQ(sum, flags ? std::uint64_t{kernels::crc32c(resp_body)}
+                         : fnv1a64(resp_body));
+    const net::Frame f = net::parse_frame_tail(tail);
+    ASSERT_FALSE(f.is_error());
+    ASSERT_EQ(resp_body.size(), net::kPayloadHead + want.size());
+    EXPECT_TRUE(std::equal(want.begin(), want.end(),
+                           resp_body.begin() + net::kPayloadHead));
+  }
+  // Errors, too, come back in the request's algorithm.
+  s.send_all(net::encode_frame(net::Op::kStat, 0, 8, {}));
+  net::Frame err;
+  ASSERT_TRUE(net::read_frame(s, net::kDefaultMaxFrame, 5000, -1, &err));
+  EXPECT_EQ(err.flags, net::kFlagError);
+}
+
 TEST_F(ServeLoopback, NotFoundMapsToTypedRemoteError) {
   net::Client c("127.0.0.1", server_->port());
   try {
@@ -185,7 +316,7 @@ TEST_F(ServeLoopback, MalformedBytesGetErrorFrameThenClose) {
     net::Frame f = net::parse_frame({buf, got});
     EXPECT_TRUE(f.is_error());
     net::ErrCode code{};
-    net::parse_error_body(f.body, &code, nullptr);
+    net::parse_error_body(f.body(), &code, nullptr);
     EXPECT_EQ(code, net::ErrCode::kBadRequest);
   }
   // The server shrugged it off: fresh connections still work.
