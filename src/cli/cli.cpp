@@ -292,7 +292,6 @@ int do_serve(const Args& a) {
                                      .value_or(kDefaultHttpPort);
   opts.enable_http = !a.no_http;
   opts.loopback_only = !a.bind_all;
-  opts.decode_threads = a.threads ? a.threads : 1;
 
   server::Server srv(opts);
   srv.start();
@@ -546,7 +545,7 @@ const char* usage() {
       "                      [--rows BEGIN:END] [--points N] [--json]\n"
       "                      ARCHIVE\n"
       "  transpwr serve      [--port N] [--http-port N] [--no-http]\n"
-      "                      [--bind-all] [--threads N] DIR\n"
+      "                      [--bind-all] DIR\n"
       "\n"
       "compress writes a one-dataset TPAR archive (archive create of IN);\n"
       "decompress and info read such an archive's only dataset.\n"
@@ -636,6 +635,9 @@ Args parse_args(const std::vector<std::string>& argv) {
     } else if (arg == "--base") {
       a.log_base = parse_double(next(), "base");
     } else if (arg == "--threads") {
+      if (a.command == "serve")
+        throw ParamError("serve does not take --threads: each request decodes "
+                         "on its pool worker; TRANSPWR_THREADS sizes the pool");
       a.threads = static_cast<std::size_t>(parse_u64(next(), "threads"));
     } else if (arg == "--chunks") {
       a.chunks = static_cast<std::size_t>(parse_u64(next(), "chunks"));

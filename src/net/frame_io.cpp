@@ -17,9 +17,5 @@ bool read_frame(Socket& sock, std::size_t max_frame, int timeout_ms,
   return true;
 }
 
-void write_frame(Socket& sock, std::span<const std::uint8_t> encoded) {
-  sock.send_all(encoded);
-}
-
 }  // namespace net
 }  // namespace transpwr

@@ -22,9 +22,6 @@ namespace net {
 bool read_frame(Socket& sock, std::size_t max_frame, int timeout_ms,
                 int wake_fd, Frame* out);
 
-/// Write one already-encoded frame (see encode_frame / encode_error).
-void write_frame(Socket& sock, std::span<const std::uint8_t> encoded);
-
 }  // namespace net
 }  // namespace transpwr
 

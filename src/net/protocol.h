@@ -2,14 +2,18 @@
 #define TRANSPWR_NET_PROTOCOL_H
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/bytestream.h"
 #include "common/error.h"
 #include "common/types.h"
+#include "core/compressor.h"
+#include "query/types.h"
 
 namespace transpwr {
 namespace net {
@@ -69,14 +73,8 @@ enum class QueryKind : std::uint8_t {
   kPreview = 4,  ///< strided downsample of the row range
 };
 
-/// Wire encoding of a query comparison. Values mirror query::Cmp — the
-/// server validates the byte before casting.
-enum class QueryCmp : std::uint8_t {
-  kGt = 1,
-  kGe = 2,
-  kLt = 3,
-  kLe = 4,
-};
+/// Wire encoding of a query comparison: the query::Cmp byte itself.
+using QueryCmp = query::Cmp;
 
 /// Is `op` one this protocol revision defines? Unknown ops still *parse*
 /// (forward compatibility); the server answers them with kErrBadOp.
@@ -94,6 +92,18 @@ enum class ErrCode : std::uint16_t {
   kBadState = 4,     ///< archive unreadable or corrupt
   kInternal = 5,     ///< unexpected server-side failure
   kShuttingDown = 6, ///< server is draining; retry elsewhere
+};
+
+/// A refusal with its own code: an unknown op or HTTP method (kBadOp), or
+/// a draining server (kShuttingDown).
+class RequestError : public Error {
+ public:
+  RequestError(ErrCode code, const std::string& message)
+      : Error(message), code_(code) {}
+  ErrCode code() const { return code_; }
+
+ private:
+  ErrCode code_;
 };
 
 /// Bytes after the u32 length field that are header, not body.
@@ -201,6 +211,98 @@ constexpr std::size_t kMaxNameLen = 4096;
 void put_string(ByteWriter& out, std::string_view s);
 /// Throws StreamError on truncation or a length above `max_len`.
 std::string get_string(ByteReader& in, std::size_t max_len = kMaxNameLen);
+
+// --- requests ----------------------------------------------------------------
+
+/// Largest kPing echo payload a server answers.
+constexpr std::size_t kMaxPingEcho = 64;
+
+/// One request of either protocol, typed: TPRQ1 frames decode into it and
+/// the server's HTTP routes parse into it. Each op reads only its own
+/// fields; encode_request writes defaults for fields it carries but ignores.
+struct Request {
+  explicit Request(Op op = Op::kPing, std::string archive = {},
+                   std::string dataset = {})
+      : op(op), archive(std::move(archive)), dataset(std::move(dataset)) {}
+
+  Op op = Op::kPing;
+  std::string archive;          ///< every op but kPing, kList, kShutdown
+  std::string dataset;          ///< kLoad, kReadRows, kChunkBytes, kQuery
+  std::uint64_t row_begin = 0;  ///< kReadRows, kQuery (0:0 = whole dataset)
+  std::uint64_t row_end = 0;
+  std::uint64_t chunk = 0;      ///< kChunkBytes
+  QueryKind kind = QueryKind::kChunks;  ///< kQuery
+  query::Predicate predicate;   ///< kQuery kChunks / kCount
+  std::uint64_t points = 0;     ///< kQuery kPreview
+  std::vector<std::uint8_t> echo;  ///< kPing
+};
+
+/// The request body of `req.op` (layouts in docs/server.md).
+std::vector<std::uint8_t> encode_request(const Request& req);
+
+/// Parse and validate the body of a request frame for `op`. Throws
+/// RequestError(kBadOp) for an unknown op, and ParamError for truncation,
+/// trailing bytes, an echo over kMaxPingEcho, a query kind or comparison
+/// byte out of range, or a non-finite threshold.
+Request decode_request(std::uint16_t op, std::span<const std::uint8_t> body);
+
+// --- responses ---------------------------------------------------------------
+
+/// kPing: the protocol magic followed by the echo.
+std::vector<std::uint8_t> encode_pong(std::span<const std::uint8_t> echo);
+
+/// One dataset's directory entry as reported by kStat.
+struct RemoteDataset {
+  std::string name;
+  DataType dtype = DataType::kFloat32;
+  Scheme scheme = Scheme::kSzT;
+  Dims dims;
+  double bound = 0;
+  double log_base = 0;
+  std::uint64_t chunks = 0;
+  std::uint64_t compressed_bytes = 0;
+};
+
+/// kVerify: what the eager checksum scan covered.
+struct VerifyResult {
+  std::uint64_t datasets = 0;
+  std::uint64_t chunks = 0;
+  std::uint64_t payload_bytes = 0;
+};
+
+/// Every other response body, its layout coded once for both ends. `Body`
+/// is std::vector<std::string> (kList), std::vector<RemoteDataset>
+/// (kStat), std::vector<std::uint8_t> (kChunkBytes), VerifyResult
+/// (kVerify), or a query:: result (kQuery; ChunkMatch::decided is not on
+/// the wire). decode_response throws StreamError on truncation, trailing
+/// bytes, or an entry count the body cannot hold, before reserving any.
+template <typename Body>
+std::vector<std::uint8_t> encode_response(const Body& body);
+template <typename Body>
+Body decode_response(std::span<const std::uint8_t> bytes);
+
+/// Decoded payload of a kLoad / kReadRows response: raw little-endian
+/// element bytes plus the shape they describe. `as<T>()` reinterprets —
+/// T must match `dtype` (checked).
+struct RemotePayload {
+  DataType dtype = DataType::kFloat32;
+  Dims dims;
+  std::vector<std::uint8_t> bytes;
+
+  template <typename T>
+  std::vector<T> as() const {
+    if (data_type_of<T>() != dtype)
+      throw ParamError("remote payload dtype mismatch");
+    if (bytes.size() % sizeof(T) != 0)
+      throw StreamError("remote payload size is not a whole element count");
+    std::vector<T> out(bytes.size() / sizeof(T));
+    std::memcpy(out.data(), bytes.data(), bytes.size());
+    return out;
+  }
+};
+
+/// The body alloc_payload_frame lays out, once its elements are in.
+RemotePayload decode_payload(std::span<const std::uint8_t> body);
 
 }  // namespace net
 }  // namespace transpwr

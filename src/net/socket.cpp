@@ -139,10 +139,6 @@ bool Socket::recv_exact(std::span<std::uint8_t> out, int timeout_ms,
   return true;
 }
 
-void Socket::shutdown_both() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-}
-
 void Socket::close() {
   if (fd_ >= 0) {
     ::close(fd_);

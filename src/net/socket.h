@@ -57,9 +57,6 @@ class Socket {
   std::size_t recv_some(std::span<std::uint8_t> out, int timeout_ms = -1,
                         int wake_fd = -1);
 
-  /// shutdown(SHUT_RDWR); further peer reads see EOF. No-op when closed.
-  void shutdown_both();
-
   void close();
 
  private:

@@ -100,10 +100,5 @@ void ArchiveRegistry::clear() {
   open_.clear();
 }
 
-std::size_t ArchiveRegistry::open_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return open_.size();
-}
-
 }  // namespace server
 }  // namespace transpwr

@@ -60,9 +60,6 @@ class ArchiveRegistry {
   /// are released deterministically).
   void clear();
 
-  /// Number of archives currently held open.
-  std::size_t open_count() const;
-
   const std::string& dir() const { return dir_; }
 
  private:

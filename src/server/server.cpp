@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <stdexcept>
+#include <tuple>
+#include <type_traits>
 #include <utility>
-#include <vector>
 
-#include <cmath>
-
-#include "common/bytestream.h"
-#include "common/decode_guard.h"
 #include "common/env.h"
 #include "common/parallel.h"
 #include "net/frame_io.h"
@@ -23,29 +21,16 @@ namespace server {
 namespace {
 
 constexpr int kDefaultIdleTimeoutMs = 30000;
-constexpr std::size_t kMaxPingEcho = 64;
 
 /// Span path for one binary op — string literals so a disabled span stays
 /// allocation-free.
 const char* op_span(std::uint16_t op) {
-  switch (static_cast<net::Op>(op)) {
-    case net::Op::kPing: return "server.op_ping";
-    case net::Op::kList: return "server.op_list";
-    case net::Op::kStat: return "server.op_stat";
-    case net::Op::kLoad: return "server.op_load";
-    case net::Op::kReadRows: return "server.op_read_rows";
-    case net::Op::kChunkBytes: return "server.op_chunk_bytes";
-    case net::Op::kVerify: return "server.op_verify";
-    case net::Op::kShutdown: return "server.op_shutdown";
-    case net::Op::kQuery: return "server.op_query";
-  }
-  return "server.op_unknown";
-}
-
-void require_drained(ByteReader& in, const char* op) {
-  if (in.remaining() != 0)
-    throw ParamError(std::string("serve: trailing bytes in ") + op +
-                     " request body");
+  static constexpr const char* kSpans[] = {
+      "server.op_unknown",     "server.op_ping",   "server.op_list",
+      "server.op_stat",        "server.op_load",   "server.op_read_rows",
+      "server.op_chunk_bytes", "server.op_verify", "server.op_shutdown",
+      "server.op_query"};
+  return kSpans[net::known_op(op) ? op : 0];
 }
 
 /// Dataset directory entry, or kErrNotFound. ArchiveReader::dataset throws
@@ -64,43 +49,192 @@ std::uint16_t reply_flags(const net::Frame& req) {
   return req.flags & net::kFlagCrc32c;
 }
 
+/// The ErrCode a failed request is answered with, on either protocol.
+net::ErrCode error_code(const std::exception& e) {
+  if (const auto* r = dynamic_cast<const net::RequestError*>(&e))
+    return r->code();
+  if (dynamic_cast<const NotFoundError*>(&e)) return net::ErrCode::kNotFound;
+  if (dynamic_cast<const ParamError*>(&e)) return net::ErrCode::kBadRequest;
+  if (dynamic_cast<const StreamError*>(&e)) return net::ErrCode::kBadState;
+  return net::ErrCode::kInternal;
+}
+
+/// The HTTP status each ErrCode is answered with.
+std::pair<int, const char*> http_status(net::ErrCode code) {
+  switch (code) {
+    case net::ErrCode::kBadRequest: return {400, "Bad Request"};
+    case net::ErrCode::kBadOp: return {405, "Method Not Allowed"};
+    case net::ErrCode::kNotFound: return {404, "Not Found"};
+    case net::ErrCode::kBadState: return {502, "Bad Gateway"};
+    case net::ErrCode::kShuttingDown: return {503, "Service Unavailable"};
+    case net::ErrCode::kInternal: break;
+  }
+  return {500, "Internal Server Error"};
+}
+
+/// Cut a response to what a HEAD request gets: the GET response's head,
+/// Content-Length included (RFC 7231), and no body.
+void drop_body(std::string& resp) { resp.resize(resp.find("\r\n\r\n") + 4); }
+
+// Every refusal goes out through one of these two, which count it in
+// `server.errors` exactly once.
+std::vector<std::uint8_t> tprq_refusal(const net::Frame& req,
+                                       net::ErrCode code,
+                                       const std::string& message) {
+  obs::counter_add("server.errors");
+  return net::encode_error(req.op, req.seq, code, message, reply_flags(req));
+}
+
+std::string http_refusal(std::pair<int, const char*> status,
+                         const std::string& message, bool head_only) {
+  obs::counter_add("server.errors");
+  std::vector<std::pair<std::string, std::string>> extra;
+  if (status.first == 405) extra.emplace_back("Allow", "GET, HEAD");
+  std::string resp = net::http_response(status.first, status.second,
+                                        "text/plain", message + "\n", extra);
+  if (head_only) drop_body(resp);
+  return resp;
+}
+
 /// Every rows response — TPRQ1 kLoad / kReadRows and HTTP /rows — is built
 /// in one buffer. `head(dtype, dims, nbytes)` sizes the whole response from
 /// the range's shape, before anything is copied, and returns it with the
 /// protocol head laid out and the last `nbytes` left for the elements; the
 /// rows are then copied in once, straight from the chunk cache.
 template <typename Head>
-auto rows_response(store::ArchiveReader& reader, const std::string& dataset,
+auto rows_response(store::ArchiveReader& reader, const store::DatasetInfo& ds,
                    std::uint64_t row_begin, std::uint64_t row_end,
-                   std::size_t threads, Head&& head) {
-  const DataType dtype = find_dataset(reader, dataset).dtype;
-  const auto b = static_cast<std::size_t>(row_begin);
-  const auto e = static_cast<std::size_t>(row_end);
-  const Dims dims = reader.rows_dims(dataset, b, e);
-  const std::size_t nbytes = dims.count() * size_of(dtype);
-  auto buf = head(dtype, dims, nbytes);
+                   Head&& head) {
+  const auto b = static_cast<std::size_t>(row_begin),
+             e = static_cast<std::size_t>(row_end);
+  const Dims dims = reader.rows_dims(ds.name, b, e);
+  const std::size_t nbytes = dims.count() * size_of(ds.dtype);
+  auto buf = head(ds.dtype, dims, nbytes);
   auto* end = reinterpret_cast<std::uint8_t*>(buf.data()) + buf.size();
-  reader.read_rows_into(dataset, b, e, {end - nbytes, nbytes}, threads);
+  // One thread: handlers run on pool workers, where a decode runs inline.
+  reader.read_rows_into(ds.name, b, e, {end - nbytes, nbytes},
+                        /*threads=*/1);
   return buf;
 }
 
+/// TPRQ1 encoder: each result becomes the frame answering `req`.
+struct FrameOut {
+  using Response = std::vector<std::uint8_t>;
+  const net::Frame& req;
+
+  Response pong(std::span<const std::uint8_t> echo) {
+    return body(net::encode_pong(echo));
+  }
+  Response list(const std::vector<std::string>& names) {
+    return body(net::encode_response(names));
+  }
+  Response stat(const store::ArchiveReader& reader) {
+    std::vector<net::RemoteDataset> dir;
+    for (const auto& ds : reader.datasets())
+      dir.push_back({ds.name, ds.dtype, ds.scheme, ds.dims, ds.bound,
+                     ds.log_base, ds.chunks.size(), ds.compressed_bytes()});
+    return body(net::encode_response(dir));
+  }
+  Response rows(store::ArchiveReader& reader, const store::DatasetInfo& ds,
+                std::uint64_t row_begin, std::uint64_t row_end) {
+    auto frame = rows_response(
+        reader, ds, row_begin, row_end,
+        [](DataType dtype, const Dims& dims, std::size_t) {
+          return net::alloc_payload_frame(dtype, dims);
+        });
+    net::seal_frame(frame, req.op, reply_flags(req), req.seq);
+    return frame;
+  }
+  Response result(const query::Executor&, const query::Predicate&,
+                  const query::RowRange&, const auto& r) {
+    return body(net::encode_response(r));
+  }
+  Response body(std::span<const std::uint8_t> bytes) {
+    return net::encode_frame(req.op, reply_flags(req), req.seq, bytes);
+  }
+};
+
 std::string json_quoted(std::string_view s) {
-  std::string out;
-  out += '"';
+  std::string out = "\"";
   obs::json_append_escaped(out, s);
-  out += '"';
-  return out;
+  return out += '"';
 }
 
-/// Validate the wire form of a query predicate (u8 cmp + f64 threshold).
-query::Predicate wire_predicate(std::uint8_t cmp, double threshold) {
-  if (cmp < static_cast<std::uint8_t>(net::QueryCmp::kGt) ||
-      cmp > static_cast<std::uint8_t>(net::QueryCmp::kLe))
-    throw ParamError("serve: bad query comparison byte");
-  if (!std::isfinite(threshold))
-    throw ParamError("serve: query threshold must be finite");
-  return {static_cast<query::Cmp>(cmp), threshold};
+std::string json_response(std::string body) {
+  body += '\n';
+  return net::http_response(200, "OK", "application/json", body);
 }
+
+const char* dtype_name(DataType t) {
+  return t == DataType::kFloat32 ? "f32" : "f64";
+}
+
+/// HTTP encoder: each result becomes a complete 200 response.
+struct HttpOut {
+  using Response = std::string;
+  const HttpRoute& route;
+
+  Response pong(std::span<const std::uint8_t>) {
+    return net::http_response(200, "OK", "text/plain", "ok\n");
+  }
+  Response list(const std::vector<std::string>& names) {
+    std::string body;
+    for (const auto& name : names)
+      body += (body.empty() ? "" : ",") + json_quoted(name);
+    return json_response("{\"archives\":[" + body + "]}");
+  }
+  Response stat(const store::ArchiveReader& reader) {
+    return json_response(store::archive_ls_json(route.request.archive, reader));
+  }
+  Response rows(store::ArchiveReader& reader, const store::DatasetInfo& ds,
+                std::uint64_t row_begin, std::uint64_t row_end) {
+    if (route.raw)
+      return rows_response(
+          reader, ds, row_begin, row_end,
+          [](DataType dtype, const Dims& dims, std::size_t nbytes) {
+            std::string r = net::http_head(
+                200, "OK", "application/octet-stream", nbytes,
+                {{"X-Transpwr-Dtype", dtype_name(dtype)},
+                 {"X-Transpwr-Dims", dims.to_string()}});
+            r.resize(r.size() + nbytes);
+            return r;
+          });
+    Dims dims;
+    auto bytes = rows_response(
+        reader, ds, row_begin, row_end,
+        [&](DataType, const Dims& d, std::size_t nbytes) {
+          dims = d;
+          return std::vector<std::uint8_t>(nbytes);
+        });
+    std::string shape = dims.to_string();  // "4x8x8" -> "4,8,8"
+    std::replace(shape.begin(), shape.end(), 'x', ',');
+    std::string body =
+        "{\"archive\":" + json_quoted(route.request.archive) +
+        ",\"dataset\":" + json_quoted(ds.name) + ",\"rows\":[" +
+        std::to_string(row_begin) + "," + std::to_string(row_end) +
+        "],\"dtype\":\"" + dtype_name(ds.dtype) + "\",\"dims\":[" + shape +
+        "],\"encoding\":\"base64\",\"data\":\"";
+    body += net::base64_encode(bytes);
+    body += "\"}";
+    return json_response(std::move(body));
+  }
+  template <typename Result>
+  Response result(const query::Executor& ex, const query::Predicate& p,
+                  const query::RowRange& rows, const Result& r) {
+    if constexpr (std::is_same_v<Result, query::ChunkMatchResult>)
+      return json_response(query::chunks_json(ex, p, r));
+    else if constexpr (std::is_same_v<Result, query::Aggregate>)
+      return json_response(query::aggregate_json(ex, rows, r));
+    else if constexpr (std::is_same_v<Result, query::CountResult>)
+      return json_response(query::count_json(ex, p, rows, r));
+    else
+      return json_response(query::preview_json(ex, rows, r));
+  }
+  /// kLoad, kChunkBytes, kVerify and kShutdown have no HTTP route.
+  Response body(std::span<const std::uint8_t>) {
+    throw std::logic_error("serve: op has no HTTP encoding");
+  }
+};
 
 /// "B:E" -> [B, E). Throws ParamError on anything else.
 std::pair<std::uint64_t, std::uint64_t> parse_row_range(
@@ -128,7 +262,76 @@ std::vector<std::string> path_segments(const std::string& path) {
   return segs;
 }
 
+/// The parameters of /rows and /query. Query rows default to 0:0, which
+/// execute() reads as the whole dataset.
+void parse_params(const std::string& query, HttpRoute& route) {
+  net::Request& r = route.request;
+  if (r.op == net::Op::kReadRows) {
+    auto range = net::query_param(query, "range");
+    if (!range) throw ParamError("serve: rows requires ?range=BEGIN:END");
+    std::tie(r.row_begin, r.row_end) = parse_row_range(*range);
+    auto encoding = net::query_param(query, "encoding").value_or("base64");
+    if (encoding != "base64" && encoding != "raw")
+      throw ParamError("serve: encoding must be base64 or raw");
+    route.raw = encoding == "raw";
+    return;
+  }
+  auto op = net::query_param(query, "op");
+  if (!op)
+    throw ParamError("serve: query requires ?op=chunks|agg|count|preview");
+  if (auto rows = net::query_param(query, "rows"))
+    std::tie(r.row_begin, r.row_end) = parse_row_range(*rows);
+  if (*op == "chunks" || *op == "count") {
+    r.kind = *op == "chunks" ? net::QueryKind::kChunks
+                             : net::QueryKind::kCount;
+    auto where = net::query_param(query, "where");
+    if (!where)
+      throw ParamError("serve: query op=" + *op +
+                       " requires ?where=CMP:THRESHOLD");
+    r.predicate = query::parse_predicate(*where);
+  } else if (*op == "agg") {
+    r.kind = net::QueryKind::kAgg;
+  } else if (*op == "preview") {
+    r.kind = net::QueryKind::kPreview;
+    r.points = 64;
+    if (auto pstr = net::query_param(query, "points")) {
+      auto v = env::parse_u64(*pstr);
+      if (!v || *v == 0)
+        throw ParamError("serve: points must be a positive integer");
+      r.points = *v;
+    }
+  } else {
+    throw ParamError("serve: unknown query op: " + *op);
+  }
+}
+
 }  // namespace
+
+HttpRoute parse_http_route(const net::HttpRequest& req) {
+  if (req.method != "GET" && req.method != "HEAD")
+    throw net::RequestError(net::ErrCode::kBadOp, "GET and HEAD only");
+  HttpRoute route;
+  const auto s = path_segments(req.path);
+  const bool in_archive =
+      s.size() >= 3 && s[0] == "archives" && s[2] == "datasets";
+  if (req.path == "/healthz") {
+    route.request.op = net::Op::kPing;
+  } else if (req.path == "/statsz") {
+    route.statsz = true;
+  } else if (req.path == "/archives") {
+    route.request.op = net::Op::kList;
+  } else if (in_archive && s.size() == 3) {
+    route.request = net::Request(net::Op::kStat, s[1]);
+  } else if (in_archive && s.size() == 5 &&
+             (s[4] == "rows" || s[4] == "query")) {
+    route.request = net::Request(
+        s[4] == "rows" ? net::Op::kReadRows : net::Op::kQuery, s[1], s[3]);
+    parse_params(req.query, route);
+  } else {
+    throw NotFoundError("serve: no route for " + req.path);
+  }
+  return route;
+}
 
 Server::Server(ServerOptions opts)
     : opts_(std::move(opts)), registry_(opts_.dir) {
@@ -252,11 +455,8 @@ void Server::handle_tprq_connection(net::Socket sock) {
     } catch (const StreamError& e) {
       // The peer sent bytes that do not frame; the stream can no longer
       // be delimited, so answer best-effort and drop the connection.
-      obs::counter_add("server.errors");
       try {
-        net::write_frame(sock, net::encode_error(0, 0,
-                                                 net::ErrCode::kBadRequest,
-                                                 e.what()));
+        sock.send_all(tprq_refusal({}, net::ErrCode::kBadRequest, e.what()));
       } catch (...) {
       }
       break;
@@ -264,17 +464,10 @@ void Server::handle_tprq_connection(net::Socket sock) {
     obs::counter_add("server.requests");
     obs::counter_add("server.bytes_in",
                      net::kLenPrefix + req.tail.size());
-    std::vector<std::uint8_t> resp;
-    if (stopping() &&
-        req.op != static_cast<std::uint16_t>(net::Op::kShutdown)) {
-      resp = net::encode_error(req.op, req.seq, net::ErrCode::kShuttingDown,
-                               "server is draining", reply_flags(req));
-    } else {
-      resp = dispatch(req);
-    }
+    const auto resp = respond(req);
     obs::counter_add("server.bytes_out", resp.size());
     try {
-      net::write_frame(sock, resp);
+      sock.send_all(resp);
     } catch (const Error&) {
       break;
     }
@@ -283,214 +476,77 @@ void Server::handle_tprq_connection(net::Socket sock) {
   sock.close();
 }
 
-std::vector<std::uint8_t> Server::dispatch(const net::Frame& req) {
+std::vector<std::uint8_t> Server::respond(const net::Frame& req) {
   obs::Span span(op_span(req.op));
   try {
-    return handle_op(req);
-  } catch (const NotFoundError& e) {
-    obs::counter_add("server.errors");
-    return net::encode_error(req.op, req.seq, net::ErrCode::kNotFound,
-                             e.what(), reply_flags(req));
-  } catch (const ParamError& e) {
-    obs::counter_add("server.errors");
-    return net::encode_error(req.op, req.seq, net::ErrCode::kBadRequest,
-                             e.what(), reply_flags(req));
-  } catch (const StreamError& e) {
-    obs::counter_add("server.errors");
-    return net::encode_error(req.op, req.seq, net::ErrCode::kBadState,
-                             e.what(), reply_flags(req));
+    FrameOut out{req};
+    return execute(net::decode_request(req.op, req.body()), out);
   } catch (const std::exception& e) {
-    obs::counter_add("server.errors");
-    return net::encode_error(req.op, req.seq, net::ErrCode::kInternal,
-                             e.what(), reply_flags(req));
+    return tprq_refusal(req, error_code(e), e.what());
   }
 }
 
-std::vector<std::uint8_t> Server::handle_op(const net::Frame& req) {
-  if (!net::known_op(req.op))
-    return net::encode_error(req.op, req.seq, net::ErrCode::kBadOp,
-                             "unknown op " + std::to_string(req.op),
-                             reply_flags(req));
-  ByteReader in(req.body());
-  ByteWriter out;
-  switch (static_cast<net::Op>(req.op)) {
-    case net::Op::kPing: {
-      if (req.body().size() > kMaxPingEcho)
-        throw ParamError("serve: ping echo payload too large");
-      out.put_bytes(std::span<const std::uint8_t>(
-          reinterpret_cast<const std::uint8_t*>(net::kMagic),
-          sizeof net::kMagic));
-      out.put_bytes(req.body());
-      break;
-    }
-    case net::Op::kList: {
-      require_drained(in, "list");
-      auto names = registry_.list();
-      out.put<std::uint32_t>(static_cast<std::uint32_t>(names.size()));
-      for (const auto& n : names) net::put_string(out, n);
-      break;
-    }
-    case net::Op::kStat: {
-      auto archive = net::get_string(in);
-      require_drained(in, "stat");
-      auto reader = registry_.open(archive);
-      const auto& dir = reader->datasets();
-      out.put<std::uint32_t>(static_cast<std::uint32_t>(dir.size()));
-      for (const auto& ds : dir) {
-        net::put_string(out, ds.name);
-        out.put<std::uint8_t>(static_cast<std::uint8_t>(ds.dtype));
-        out.put<std::uint8_t>(static_cast<std::uint8_t>(ds.scheme));
-        out.put<std::uint8_t>(static_cast<std::uint8_t>(ds.dims.nd));
-        for (int i = 0; i < 3; ++i)
-          out.put<std::uint64_t>(ds.dims.d[static_cast<std::size_t>(i)]);
-        out.put<double>(ds.bound);
-        out.put<double>(ds.log_base);
-        out.put<std::uint64_t>(ds.chunks.size());
-        out.put<std::uint64_t>(ds.compressed_bytes());
-      }
-      break;
-    }
-    case net::Op::kLoad:
-    case net::Op::kReadRows: {
-      const bool load = req.op == static_cast<std::uint16_t>(net::Op::kLoad);
-      auto archive = net::get_string(in);
-      auto dataset = net::get_string(in);
-      std::uint64_t row_begin = 0, row_end = 0;
-      if (!load) {
-        row_begin = in.get<std::uint64_t>();
-        row_end = in.get<std::uint64_t>();
-      }
-      require_drained(in, load ? "load" : "read_rows");
-      auto reader = registry_.open(archive);
-      if (load) row_end = find_dataset(*reader, dataset).dims[0];
-      auto frame = rows_response(
-          *reader, dataset, row_begin, row_end, opts_.decode_threads,
-          [](DataType dtype, const Dims& dims, std::size_t) {
-            return net::alloc_payload_frame(dtype, dims);
-          });
-      net::seal_frame(frame, req.op, reply_flags(req), req.seq);
-      return frame;
-    }
-    case net::Op::kChunkBytes: {
-      auto archive = net::get_string(in);
-      auto dataset = net::get_string(in);
-      auto chunk = in.get<std::uint64_t>();
-      require_drained(in, "chunk_bytes");
-      auto reader = registry_.open(archive);
-      const auto& ds = find_dataset(*reader, dataset);
-      if (chunk >= ds.chunks.size())
-        throw NotFoundError("serve: chunk " + std::to_string(chunk) +
-                            " out of range for " + dataset);
-      auto bytes = reader->read_chunk_bytes(
-          dataset, static_cast<std::size_t>(chunk));
-      out.put_sized(bytes);
-      break;
-    }
-    case net::Op::kVerify: {
-      auto archive = net::get_string(in);
-      require_drained(in, "verify");
-      auto reader = registry_.open(archive);
-      reader->verify();
-      std::uint64_t chunks = 0, payload = 0;
-      for (const auto& ds : reader->datasets()) {
-        chunks += ds.chunks.size();
-        payload += ds.compressed_bytes();
-      }
-      out.put<std::uint64_t>(reader->datasets().size());
-      out.put<std::uint64_t>(chunks);
-      out.put<std::uint64_t>(payload);
-      break;
-    }
-    case net::Op::kQuery: {
-      auto archive = net::get_string(in);
-      auto dataset = net::get_string(in);
-      auto kind_byte = in.get<std::uint8_t>();
-      auto cmp_byte = in.get<std::uint8_t>();
-      auto threshold = in.get<double>();
-      auto row_begin = in.get<std::uint64_t>();
-      auto row_end = in.get<std::uint64_t>();
-      auto points = in.get<std::uint64_t>();
-      require_drained(in, "query");
-      if (kind_byte < static_cast<std::uint8_t>(net::QueryKind::kChunks) ||
-          kind_byte > static_cast<std::uint8_t>(net::QueryKind::kPreview))
-        throw ParamError("serve: bad query kind byte");
-      auto reader = registry_.open(archive);
-      find_dataset(*reader, dataset);  // NotFound, not Executor's ParamError
-      query::Executor ex(*reader, dataset);
-      const query::RowRange range{row_begin, row_end};
-      switch (static_cast<net::QueryKind>(kind_byte)) {
-        case net::QueryKind::kChunks: {
-          auto r = ex.find_chunks(wire_predicate(cmp_byte, threshold));
-          out.put<std::uint64_t>(r.chunks_total);
-          out.put<std::uint64_t>(r.chunks_pruned);
-          out.put<std::uint64_t>(r.chunks_decoded);
-          out.put<std::uint32_t>(static_cast<std::uint32_t>(
-              r.matches.size()));
-          for (const auto& m : r.matches) {
-            out.put<std::uint64_t>(m.chunk);
-            out.put<std::uint64_t>(m.row_begin);
-            out.put<std::uint64_t>(m.row_end);
-          }
-          break;
-        }
-        case net::QueryKind::kAgg: {
-          auto a = ex.aggregate(range);
-          out.put<double>(a.min);
-          out.put<double>(a.max);
-          out.put<double>(a.sum);
-          out.put<std::uint64_t>(a.count);
-          out.put<std::uint64_t>(a.finite);
-          out.put<std::uint64_t>(a.nan);
-          out.put<std::uint64_t>(a.pos_inf);
-          out.put<std::uint64_t>(a.neg_inf);
-          out.put<std::uint64_t>(a.chunks_pruned);
-          out.put<std::uint64_t>(a.chunks_decoded);
-          break;
-        }
-        case net::QueryKind::kCount: {
-          auto r = ex.count_where(wire_predicate(cmp_byte, threshold), range);
-          out.put<std::uint64_t>(r.matching);
-          out.put<std::uint64_t>(r.total);
-          out.put<std::uint64_t>(r.chunks_pruned);
-          out.put<std::uint64_t>(r.chunks_decoded);
-          break;
-        }
-        case net::QueryKind::kPreview: {
-          auto pv = ex.preview(points, range);
-          out.put<std::uint64_t>(pv.stride);
-          out.put<std::uint64_t>(pv.chunks_decoded);
-          out.put<std::uint32_t>(static_cast<std::uint32_t>(
-              pv.rows.size()));
-          for (std::size_t i = 0; i < pv.rows.size(); ++i) {
-            out.put<std::uint64_t>(pv.rows[i]);
-            out.put<double>(pv.values[i]);
-          }
-          break;
-        }
-      }
-      break;
-    }
-    case net::Op::kShutdown: {
-      require_drained(in, "shutdown");
-      // Acknowledge first (the caller's write happens after we return),
-      // then begin the drain; the connection loop exits after sending.
-      request_stop();
-      break;
-    }
+template <typename Out>
+typename Out::Response Server::execute(const net::Request& req, Out& out) {
+  if (stopping() && req.op != net::Op::kShutdown)
+    throw net::RequestError(net::ErrCode::kShuttingDown,
+                            "server is draining");
+  if (req.op == net::Op::kPing) return out.pong(req.echo);
+  if (req.op == net::Op::kList) return out.list(registry_.list());
+  if (req.op == net::Op::kShutdown) {
+    // Acknowledge first (the caller's write happens after we return),
+    // then begin the drain; the connection loop exits after sending.
+    request_stop();
+    return out.body({});
   }
-  auto body = out.take();
-  return net::encode_frame(req.op, reply_flags(req), req.seq, body);
+  auto reader = registry_.open(req.archive);
+  if (req.op == net::Op::kStat) return out.stat(*reader);
+  if (req.op == net::Op::kVerify) {
+    reader->verify();
+    net::VerifyResult v{reader->datasets().size(), 0, 0};
+    for (const auto& ds : reader->datasets()) {
+      v.chunks += ds.chunks.size();
+      v.payload_bytes += ds.compressed_bytes();
+    }
+    return out.body(net::encode_response(v));
+  }
+  const store::DatasetInfo& ds = find_dataset(*reader, req.dataset);
+  if (req.op == net::Op::kLoad) return out.rows(*reader, ds, 0, ds.dims[0]);
+  if (req.op == net::Op::kReadRows)
+    return out.rows(*reader, ds, req.row_begin, req.row_end);
+  if (req.op == net::Op::kChunkBytes) {
+    if (req.chunk >= ds.chunks.size())
+      throw NotFoundError("serve: chunk " + std::to_string(req.chunk) +
+                          " out of range for " + req.dataset);
+    return out.body(net::encode_response(reader->read_chunk_bytes(
+        req.dataset, static_cast<std::size_t>(req.chunk))));
+  }
+  // kQuery. Rows 0:0 mean the whole dataset.
+  query::Executor ex(*reader, req.dataset);
+  query::RowRange range{req.row_begin, req.row_end};
+  if (range.begin == 0 && range.end == 0) range = ex.full_range();
+  const query::Predicate& p = req.predicate;
+  switch (req.kind) {
+    case net::QueryKind::kChunks:
+      return out.result(ex, p, range, ex.find_chunks(p));
+    case net::QueryKind::kAgg:
+      return out.result(ex, p, range, ex.aggregate(range));
+    case net::QueryKind::kCount:
+      return out.result(ex, p, range, ex.count_where(p, range));
+    case net::QueryKind::kPreview:
+      return out.result(ex, p, range, ex.preview(req.points, range));
+  }
+  throw std::logic_error("serve: unknown query kind");
 }
 
 void Server::handle_http_connection(net::Socket sock) {
   // One request per connection: accumulate the head (request line +
   // headers) up to the blank line, with the same hard caps the parser
-  // enforces, then route and answer.
+  // enforces, then answer.
   std::string head;
   const std::size_t cap = net::kMaxRequestLine + net::kMaxHeaderBytes;
-  std::size_t end = std::string::npos;
-  std::size_t term = 0;
-  while (end == std::string::npos) {
+  std::size_t len = 0;  // the head's length through its blank line
+  while (len == 0) {
     std::uint8_t buf[4096];
     std::size_t n;
     try {
@@ -500,206 +556,50 @@ void Server::handle_http_connection(net::Socket sock) {
     }
     if (n == 0) return;  // peer hung up before completing a request
     head.append(reinterpret_cast<const char*>(buf), n);
-    std::size_t crlf = head.find("\r\n\r\n");
-    std::size_t lflf = head.find("\n\n");
-    if (crlf != std::string::npos && (lflf == std::string::npos ||
-                                      crlf < lflf)) {
-      end = crlf;
-      term = 4;
-    } else if (lflf != std::string::npos) {
-      end = lflf;
-      term = 2;
+    // The blank line ends with CRLF or a bare LF.
+    const std::size_t lf = std::min(head.find("\n\n"), head.find("\n\r\n"));
+    if (lf != std::string::npos) {
+      len = lf + (head[lf + 1] == '\r' ? 3 : 2);
     } else if (head.size() > cap) {
       try {
-        sock.send_all(net::http_response(431, "Request Header Fields Too "
-                                              "Large",
-                                         "text/plain",
-                                         "request head too large\n"));
+        sock.send_all(http_refusal({431, "Request Header Fields Too Large"},
+                                   "request head too large", false));
       } catch (...) {
       }
       return;
     }
   }
   obs::counter_add("server.http_requests");
-  obs::Span span("server.http");
-  std::string resp;
+  obs::Span span("server.http");  // covers writing the response too
   try {
-    auto req = net::parse_http_request(
-        std::string_view(head).substr(0, end + term));
-    if (stopping()) {
-      obs::counter_add("server.errors");
-      resp = net::http_response(503, "Service Unavailable", "text/plain",
-                                "server is draining\n");
-    } else {
-      resp = route_http(req);
-    }
-  } catch (const Error& e) {
-    obs::counter_add("server.errors");
-    resp = net::http_response(400, "Bad Request", "text/plain",
-                              std::string(e.what()) + "\n");
-  }
-  try {
-    sock.send_all(resp);
+    sock.send_all(respond_http(std::string_view(head).substr(0, len)));
   } catch (const Error&) {
   }
   sock.close();
 }
 
-std::string Server::route_http(const net::HttpRequest& req) {
-  const bool is_head = req.method == "HEAD";
-  if (req.method != "GET" && !is_head)
-    return net::http_response(405, "Method Not Allowed", "text/plain",
-                              "GET and HEAD only\n",
-                              {{"Allow", "GET, HEAD"}});
-  std::string resp;  // set directly by routes that build their own
-  std::string body;
-  std::string content_type = "application/json";
+std::string Server::respond_http(std::string_view head) {
+  net::HttpRequest http;
   try {
-    auto segs = path_segments(req.path);
-    if (req.path == "/healthz") {
-      body = "ok\n";
-      content_type = "text/plain";
-    } else if (req.path == "/statsz") {
-      body = obs::to_json(obs::snapshot(),
-                          {{"endpoint", "statsz"},
-                           {"dir", registry_.dir()}});
-      body += '\n';
-    } else if (req.path == "/archives") {
-      body = "{\"archives\":[";
-      bool first = true;
-      for (const auto& name : registry_.list()) {
-        if (!first) body += ',';
-        first = false;
-        body += json_quoted(name);
-      }
-      body += "]}\n";
-    } else if (segs.size() == 3 && segs[0] == "archives" &&
-               segs[2] == "datasets") {
-      auto reader = registry_.open(segs[1]);
-      body = store::archive_ls_json(segs[1], *reader);
-      body += '\n';
-    } else if (segs.size() == 5 && segs[0] == "archives" &&
-               segs[2] == "datasets" && segs[4] == "query") {
-      auto op = net::query_param(req.query, "op");
-      if (!op)
-        throw ParamError("serve: query requires ?op=chunks|agg|count|"
-                         "preview");
-      auto reader = registry_.open(segs[1]);
-      find_dataset(*reader, segs[3]);
-      query::Executor ex(*reader, segs[3]);
-      query::RowRange range = ex.full_range();
-      if (auto rows = net::query_param(req.query, "rows")) {
-        auto [b, e] = parse_row_range(*rows);
-        range = {b, e};
-      }
-      auto predicate = [&]() -> query::Predicate {
-        auto where = net::query_param(req.query, "where");
-        if (!where)
-          throw ParamError("serve: query op=" + *op +
-                           " requires ?where=CMP:THRESHOLD");
-        return query::parse_predicate(*where);
-      };
-      if (*op == "chunks") {
-        const auto p = predicate();
-        body = query::chunks_json(ex, p, ex.find_chunks(p));
-      } else if (*op == "agg") {
-        body = query::aggregate_json(ex, range, ex.aggregate(range));
-      } else if (*op == "count") {
-        const auto p = predicate();
-        body = query::count_json(ex, p, range, ex.count_where(p, range));
-      } else if (*op == "preview") {
-        std::uint64_t points = 64;
-        if (auto pstr = net::query_param(req.query, "points")) {
-          auto v = env::parse_u64(*pstr);
-          if (!v || *v == 0)
-            throw ParamError("serve: points must be a positive integer");
-          points = *v;
-        }
-        body = query::preview_json(ex, range, ex.preview(points, range));
-      } else {
-        throw ParamError("serve: unknown query op: " + *op);
-      }
-      body += '\n';
-    } else if (segs.size() == 5 && segs[0] == "archives" &&
-               segs[2] == "datasets" && segs[4] == "rows") {
-      auto range = net::query_param(req.query, "range");
-      if (!range) throw ParamError("serve: rows requires ?range=BEGIN:END");
-      auto [row_begin, row_end] = parse_row_range(*range);
-      auto encoding =
-          net::query_param(req.query, "encoding").value_or("base64");
-      if (encoding != "base64" && encoding != "raw")
-        throw ParamError("serve: encoding must be base64 or raw");
-      auto dtype_name = [](DataType t) {
-        return t == DataType::kFloat32 ? "f32" : "f64";
-      };
-      auto reader = registry_.open(segs[1]);
-      if (encoding == "raw") {
-        resp = rows_response(
-            *reader, segs[3], row_begin, row_end, opts_.decode_threads,
-            [&](DataType dtype, const Dims& dims, std::size_t nbytes) {
-              std::string r = net::http_head(
-                  200, "OK", "application/octet-stream", nbytes,
-                  {{"X-Transpwr-Dtype", dtype_name(dtype)},
-                   {"X-Transpwr-Dims", dims.to_string()}});
-              r.resize(r.size() + nbytes);
-              return r;
-            });
-      } else {
-        DataType dtype{};
-        Dims dims;
-        auto bytes = rows_response(
-            *reader, segs[3], row_begin, row_end, opts_.decode_threads,
-            [&](DataType t, const Dims& d, std::size_t nbytes) {
-              dtype = t;
-              dims = d;
-              return std::vector<std::uint8_t>(nbytes);
-            });
-        body = "{\"archive\":";
-        body += json_quoted(segs[1]);
-        body += ",\"dataset\":";
-        body += json_quoted(segs[3]);
-        body += ",\"rows\":[";
-        body += std::to_string(row_begin);
-        body += ',';
-        body += std::to_string(row_end);
-        body += "],\"dtype\":\"";
-        body += dtype_name(dtype);
-        body += "\",\"dims\":[";
-        for (int i = 0; i < dims.nd; ++i) {
-          if (i) body += ',';
-          body += std::to_string(dims[i]);
-        }
-        body += "],\"encoding\":\"base64\",\"data\":\"";
-        body += net::base64_encode(bytes);
-        body += "\"}\n";
-      }
-    } else {
-      throw NotFoundError("serve: no route for " + req.path);
-    }
-  } catch (const NotFoundError& e) {
-    obs::counter_add("server.errors");
-    return net::http_response(404, "Not Found", "text/plain",
-                              std::string(e.what()) + "\n");
-  } catch (const ParamError& e) {
-    obs::counter_add("server.errors");
-    return net::http_response(400, "Bad Request", "text/plain",
-                              std::string(e.what()) + "\n");
-  } catch (const StreamError& e) {
-    obs::counter_add("server.errors");
-    return net::http_response(502, "Bad Gateway", "text/plain",
-                              std::string(e.what()) + "\n");
+    http = net::parse_http_request(head);
+  } catch (const Error& e) {
+    return http_refusal(http_status(net::ErrCode::kBadRequest), e.what(),
+                        false);
+  }
+  const bool head_only = http.method == "HEAD";
+  try {
+    const HttpRoute route = parse_http_route(http);
+    HttpOut out{route};
+    std::string resp =
+        route.statsz ? json_response(obs::to_json(
+                           obs::snapshot(), {{"endpoint", "statsz"},
+                                             {"dir", registry_.dir()}}))
+                     : execute(route.request, out);
+    if (head_only) drop_body(resp);
+    return resp;
   } catch (const std::exception& e) {
-    obs::counter_add("server.errors");
-    return net::http_response(500, "Internal Server Error", "text/plain",
-                              std::string(e.what()) + "\n");
+    return http_refusal(http_status(error_code(e)), e.what(), head_only);
   }
-  if (resp.empty()) resp = net::http_response(200, "OK", content_type, body);
-  if (is_head) {
-    // Same head (Content-Length included, per RFC 7231) with no body.
-    std::size_t blank = resp.find("\r\n\r\n");
-    resp.resize(blank + 4);
-  }
-  return resp;
 }
 
 }  // namespace server

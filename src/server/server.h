@@ -31,15 +31,31 @@ struct ServerOptions {
   bool loopback_only = true;    ///< bind 127.0.0.1 (default) vs all interfaces
   std::size_t max_frame = 0;    ///< inbound TPRQ1 frame cap; 0 => env/default
   int idle_timeout_ms = 0;      ///< per-connection idle limit; 0 => env/default
-  std::size_t decode_threads = 1;  ///< threads per load/read_rows decode
 };
 
-/// The `transpwr serve` engine: a thread-per-connection TPAR archive
-/// server. Two listeners (TPRQ1 binary protocol + HTTP/JSON facade)
-/// each run an accept loop on a dedicated thread; every accepted
+/// What one HTTP facade request asks for. Every route but /statsz is a
+/// net::Request (/healthz kPing, /archives kList, .../datasets kStat,
+/// .../rows kReadRows, .../query kQuery) run through the same execute().
+struct HttpRoute {
+  net::Request request;
+  bool statsz = false;  ///< /statsz: the live obs registry, not a Request
+  bool raw = false;     ///< rows?encoding=raw instead of base64 JSON
+};
+
+/// Map a parsed request head onto its route. Throws
+/// net::RequestError(kBadOp) for methods other than GET and HEAD,
+/// NotFoundError for an unknown path, and ParamError for a missing or
+/// malformed parameter.
+HttpRoute parse_http_route(const net::HttpRequest& req);
+
+/// The `transpwr serve` engine: a TPAR archive server whose connections
+/// are pool tasks. Two listeners (TPRQ1 binary protocol + HTTP/JSON
+/// facade) each run an accept loop on a dedicated thread; every accepted
 /// connection is handled as a task on the shared global pool
 /// (common/parallel.h), so request concurrency is bounded by the pool
 /// capacity (TRANSPWR_THREADS) instead of growing a thread per client.
+/// Both protocols parse into one net::Request, run through one
+/// execute(), and differ only in how the result is encoded.
 /// Archive handles are shared across connections through
 /// ArchiveRegistry, and decoded chunks through the process-wide
 /// ChunkCache — the warm path for a hot ROI is: parse frame, registry
@@ -86,20 +102,21 @@ class Server {
     return stopping_.load(std::memory_order_acquire);
   }
 
-  ArchiveRegistry& registry() { return registry_; }
-  const ServerOptions& options() const { return opts_; }
+  /// Answer one request frame, or one HTTP request head, as the
+  /// connection loops do; refusals are error frames / 4xx-5xx responses.
+  /// Public so a request can be answered without a socket.
+  std::vector<std::uint8_t> respond(const net::Frame& req);
+  std::string respond_http(std::string_view head);
 
  private:
   void accept_loop(net::Listener& listener, bool http);
   void handle_tprq_connection(net::Socket sock);
   void handle_http_connection(net::Socket sock);
 
-  /// Dispatch one parsed request frame; returns the encoded response.
-  std::vector<std::uint8_t> dispatch(const net::Frame& req);
-  std::vector<std::uint8_t> handle_op(const net::Frame& req);
-
-  /// Route one parsed HTTP request; returns the full response bytes.
-  std::string route_http(const net::HttpRequest& req);
+  /// Run `req` against the served directory and hand the result to
+  /// `out`, the protocol's encoder. Throws on refusal.
+  template <typename Out>
+  typename Out::Response execute(const net::Request& req, Out& out);
 
   ServerOptions opts_;
   ArchiveRegistry registry_;

@@ -21,6 +21,7 @@
 #include "net/http.h"
 #include "net/protocol.h"
 #include "query/query.h"
+#include "server/server.h"
 #include "store/archive.h"
 #include "store/chunk_cache.h"
 #include "testing/generators.h"
@@ -309,24 +310,26 @@ std::vector<FuzzTarget> default_fuzz_targets(std::uint64_t seed) {
     FuzzTarget t;
     t.name = "net_frame";
     // Corpus: one well-formed TPRQ1 frame per interesting shape (simple
-    // op, string-carrying request under each body checksum, error
-    // response) plus an HTTP request head, so mutants exercise both wire
-    // parsers the server feeds with attacker-controlled bytes.
+    // op, string-carrying requests under each body checksum, a query,
+    // error response) plus an HTTP request head, so mutants exercise
+    // every parser the server feeds with attacker-controlled bytes.
     std::vector<std::vector<std::uint8_t>> corpus;
     corpus.push_back(net::encode_frame(net::Op::kPing, 0, 1,
                                        bytes_corpus(seed + 8, 16, false)));
-    {
-      ByteWriter body;
-      net::put_string(body, "snapshots.tpar");
-      net::put_string(body, "vx");
-      body.put<std::uint64_t>(0);
-      body.put<std::uint64_t>(128);
-      auto body_bytes = body.take();
-      corpus.push_back(
-          net::encode_frame(net::Op::kReadRows, 0, 7, body_bytes));
-      corpus.push_back(net::encode_frame(net::Op::kReadRows,
-                                         net::kFlagCrc32c, 8, body_bytes));
-    }
+    net::Request req(net::Op::kReadRows, "snapshots.tpar", "vx");
+    req.row_end = 128;
+    const auto rows_body = net::encode_request(req);
+    corpus.push_back(net::encode_frame(req.op, 0, 7, rows_body));
+    corpus.push_back(
+        net::encode_frame(req.op, net::kFlagCrc32c, 8, rows_body));
+    req.op = net::Op::kQuery;
+    req.kind = net::QueryKind::kCount;
+    req.predicate = {query::Cmp::kGe, 1.5};
+    corpus.push_back(net::encode_frame(req.op, net::kFlagCrc32c, 11,
+                                       net::encode_request(req)));
+    corpus.push_back(net::encode_frame(
+        net::Op::kStat, net::kFlagCrc32c, 10,
+        net::encode_request(net::Request(net::Op::kStat, "snapshots.tpar"))));
     corpus.push_back(net::encode_error(
         static_cast<std::uint16_t>(net::Op::kLoad), 9,
         net::ErrCode::kNotFound, "serve: no such dataset: vx"));
@@ -340,7 +343,8 @@ std::vector<FuzzTarget> default_fuzz_targets(std::uint64_t seed) {
     }
     t.corpus = std::move(corpus);
     t.decode = [](std::span<const std::uint8_t> s) {
-      // Every mutant goes through both parsers: clean accept or a typed
+      // Every mutant goes through both wire parsers and, when it parses,
+      // on to the request parser behind it: clean accept or a typed
       // Error, never a crash, hang, or unguarded allocation. The frame
       // cap mirrors the server's TRANSPWR_SERVE_MAX_FRAME guard.
       try {
@@ -349,11 +353,13 @@ std::vector<FuzzTarget> default_fuzz_targets(std::uint64_t seed) {
           net::ErrCode code{};
           std::string message;
           net::parse_error_body(f.body(), &code, &message);
+        } else {
+          net::decode_request(f.op, f.body());
         }
       } catch (const Error&) {
       }
-      net::parse_http_request(std::string_view(
-          reinterpret_cast<const char*>(s.data()), s.size()));
+      server::parse_http_route(net::parse_http_request(std::string_view(
+          reinterpret_cast<const char*>(s.data()), s.size())));
     };
     targets.push_back(std::move(t));
   }

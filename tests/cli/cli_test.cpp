@@ -307,6 +307,21 @@ TEST(CliParse, UnsignedOptionsRejectNonCanonicalIntegers) {
             std::numeric_limits<std::size_t>::max());
 }
 
+// `serve --threads` never changed anything (requests decode on the pool
+// worker that handles them), so it is refused with the reason.
+TEST(CliParse, ServeRefusesThreads) {
+  try {
+    cli::parse_args({"serve", "--threads", "4", "dir"});
+    FAIL() << "expected ParamError";
+  } catch (const ParamError& e) {
+    EXPECT_NE(std::string(e.what()).find("TRANSPWR_THREADS"),
+              std::string::npos);
+  }
+  EXPECT_EQ(cli::parse_args({"serve", "dir"}).input, "dir");
+  EXPECT_EQ(std::string(cli::usage()).find("[--bind-all] [--threads N]"),
+            std::string::npos);
+}
+
 // std::stod happily parses "nan" and "inf"; a non-finite error bound or
 // log base must be rejected at the parser, not propagate into the math.
 TEST(CliParse, DoubleOptionsRejectNonFiniteValues) {

@@ -6,7 +6,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -384,6 +387,154 @@ TEST_F(ServeLoopback, HeadOmitsBody) {
   EXPECT_NE(resp.find("200 OK"), std::string::npos);
   EXPECT_NE(resp.find("Content-Length: 3"), std::string::npos);
   EXPECT_EQ(body_of(resp), "");  // head only, no payload bytes
+}
+
+/// A response's status line and headers, blank line included.
+std::string head_of(const std::string& response) {
+  return response.substr(0, response.find("\r\n\r\n") + 4);
+}
+
+// HEAD gets the head its GET would get — refusals included, Content-Length
+// and all — and no body bytes.
+TEST_F(ServeLoopback, HeadRefusalsCarryNoBody) {
+  const std::string rows = "/archives/snapshots.tpar/datasets/wind/rows";
+  for (const auto& [target, status] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"/archives/nope.tpar/datasets", "404 Not Found"},
+           {rows, "400 Bad Request"},
+           {rows + "?range=0:4&encoding=hex", "400 Bad Request"},
+           {"/nope", "404 Not Found"}}) {
+    SCOPED_TRACE(target);
+    const std::string get = http_get(target);
+    EXPECT_EQ(get.rfind("HTTP/1.1 " + status + "\r\n", 0), 0u) << get;
+    ASSERT_FALSE(body_of(get).empty());
+    EXPECT_NE(get.find("Content-Length: " +
+                       std::to_string(body_of(get).size()) + "\r\n"),
+              std::string::npos);
+    EXPECT_EQ(http_request("HEAD", target), head_of(get));
+  }
+
+  // A draining server refuses what is still in flight with 503, and a
+  // HEAD again with the head alone.
+  server_->request_stop();
+  for (const std::string& target :
+       std::vector<std::string>{"/healthz", rows + "?range=0:4"}) {
+    SCOPED_TRACE(target);
+    const std::string get =
+        server_->respond_http("GET " + target + " HTTP/1.1\r\n\r\n");
+    EXPECT_EQ(get.rfind("HTTP/1.1 503 Service Unavailable\r\n", 0), 0u);
+    EXPECT_EQ(body_of(get), "server is draining\n");
+    EXPECT_EQ(server_->respond_http("HEAD " + target + " HTTP/1.1\r\n\r\n"),
+              head_of(get));
+  }
+}
+
+// `server.errors` counts each refusal exactly once — every kind, on both
+// protocols — and nothing else.
+TEST_F(ServeLoopback, ServerErrorsCountEachRefusalOnce) {
+  obs::ScopedRecording rec;
+  auto delta = [](const std::function<void()>& request) {
+    const auto before = obs::counter_value("server.errors");
+    request();
+    return obs::counter_value("server.errors") - before;
+  };
+  auto refused_with = [](net::ErrCode want, auto&& call) {
+    try {
+      call();
+      ADD_FAILURE() << "expected RemoteError";
+    } catch (const net::RemoteError& e) {
+      EXPECT_EQ(e.code(), want);
+    }
+  };
+  /// Send raw bytes to `port` and read until the server closes.
+  auto exchange = [](std::uint16_t port, std::string_view bytes) {
+    net::Socket s = net::Socket::connect("127.0.0.1", port);
+    s.send_all(bytes);
+    std::string out;
+    std::uint8_t buf[4096];
+    try {
+      while (std::size_t n = s.recv_some(buf, /*timeout_ms=*/5000))
+        out.append(reinterpret_cast<const char*>(buf), n);
+    } catch (const net::NetError&) {
+      // A reset after a refusal with unread input is fine here.
+    }
+    return out;
+  };
+
+  net::Client c("127.0.0.1", server_->port());
+  EXPECT_EQ(delta([&] { c.list(); }), 0u);
+  EXPECT_EQ(delta([&] { http_get("/healthz"); }), 0u);
+
+  // TPRQ1: every ErrCode a live server answers with, plus unframeable bytes.
+  EXPECT_EQ(delta([&] {
+              refused_with(net::ErrCode::kBadRequest, [&] {
+                c.read_rows("snapshots.tpar", "wind", 9, 3);
+              });
+            }),
+            1u);
+  EXPECT_EQ(delta([&] {
+              refused_with(net::ErrCode::kNotFound,
+                           [&] { c.stat("nope.tpar"); });
+            }),
+            1u);
+  EXPECT_EQ(delta([&] {
+              net::Socket s =
+                  net::Socket::connect("127.0.0.1", server_->port());
+              s.send_all(net::encode_frame(std::uint16_t{999}, 0, 5, {}));
+              net::Frame f;
+              ASSERT_TRUE(net::read_frame(s, net::kDefaultMaxFrame, 5000, -1,
+                                          &f));
+              net::ErrCode code{};
+              net::parse_error_body(f.body(), &code, nullptr);
+              EXPECT_EQ(code, net::ErrCode::kBadOp);
+            }),
+            1u);
+  EXPECT_EQ(delta([&] {
+              exchange(server_->port(),
+                       std::string("\xff\xff\xff\x7f\0\0\0\0", 8));
+            }),
+            1u);
+
+  // HTTP: 400 (unparseable head and bad parameter), 404, 405, 431.
+  EXPECT_EQ(delta([&] {
+              EXPECT_NE(exchange(server_->http_port(), "GET /\r\n\r\n")
+                            .find("400 Bad Request"),
+                        std::string::npos);
+            }),
+            1u);
+  EXPECT_EQ(delta([&] {
+              EXPECT_NE(http_get("/archives/snapshots.tpar/datasets/wind/"
+                                 "query?op=frob")
+                            .find("400"),
+                        std::string::npos);
+            }),
+            1u);
+  EXPECT_EQ(delta([&] { http_get("/archives/nope.tpar/datasets"); }), 1u);
+  EXPECT_EQ(delta([&] { http_request("POST", "/archives"); }), 1u);
+  EXPECT_EQ(delta([&] {
+              exchange(server_->http_port(),
+                       "GET /" + std::string(net::kMaxRequestLine +
+                                                 net::kMaxHeaderBytes + 64,
+                                             'a'));
+            }),
+            1u);
+
+  // Draining: kShuttingDown and 503.
+  server_->request_stop();
+  EXPECT_EQ(delta([&] {
+              const auto resp = server_->respond(net::parse_frame(
+                  net::encode_frame(net::Op::kList, net::kFlagCrc32c, 6, {})));
+              const net::Frame f = net::parse_frame(resp);
+              ASSERT_TRUE(f.is_error());
+              net::ErrCode code{};
+              net::parse_error_body(f.body(), &code, nullptr);
+              EXPECT_EQ(code, net::ErrCode::kShuttingDown);
+            }),
+            1u);
+  EXPECT_EQ(delta([&] {
+              server_->respond_http("GET /archives HTTP/1.1\r\n\r\n");
+            }),
+            1u);
 }
 
 // kQuery answers must agree exactly with a local Executor over the same

@@ -47,15 +47,18 @@ cmake --build "$asan" --target test_chunk_cache test_archive -j "$jobs"
 "$asan/tests/test_chunk_cache"
 "$asan/tests/test_archive"
 
-# Serve loopback smoke under the same sanitizers: a real Server on
-# ephemeral loopback ports, concurrent TPRQ1 clients, every HTTP route,
-# malformed-frame handling, and the graceful drain — the whole
-# thread-per-connection surface (accept loops, shared registry handles,
-# wake-pipe shutdown) with ASan+UBSan armed. The tsan ctest label marks
-# the same test for a -DTRANSPWR_SANITIZE=thread build.
+# Serve loopback smoke under the same sanitizers: the TPRQ1 and HTTP
+# request parsers and codecs, then a real Server on ephemeral loopback
+# ports with concurrent TPRQ1 clients, every HTTP route, malformed-frame
+# handling, and the graceful drain — the whole serve surface (accept
+# loops, connections as pool tasks, shared registry handles, wake-pipe
+# shutdown) with ASan+UBSan armed. The tsan ctest label marks the
+# loopback test for a -DTRANSPWR_SANITIZE=thread build.
 echo "=== tier-1 [asan-ubsan]: serve loopback smoke ==="
-cmake --build "$asan" --target test_serve_loopback test_net_protocol -j "$jobs"
+cmake --build "$asan" \
+  --target test_serve_loopback test_net_protocol test_net_http -j "$jobs"
 "$asan/tests/test_net_protocol"
+"$asan/tests/test_net_http"
 "$asan/tests/test_serve_loopback"
 
 # Query smoke under the same sanitizers: compressed-domain analytics over
