@@ -9,14 +9,12 @@
 #include <limits>
 #include <optional>
 
-#include "common/bytestream.h"
 #include "common/decode_guard.h"
 #include "common/env.h"
 #include "common/error.h"
 #include "common/timer.h"
 #include "data/generators.h"
 #include "data/io.h"
-#include "core/temporal.h"
 #include "metrics/metrics.h"
 #include "obs/obs.h"
 #include "query/query.h"
@@ -326,69 +324,30 @@ int do_serve(const Args& a) {
   return 0;
 }
 
-constexpr std::uint32_t kSeriesMagic = 0x31525354;  // "TSR1"
-
-int do_series(const Args& a) {
-  if (a.scheme != Scheme::kSzT && a.scheme != Scheme::kZfpT)
-    throw ParamError("series supports SZ_T or ZFP_T only");
-  Dims dims = a.dims.value();
-  TransformedParams tp;
-  tp.rel_bound = a.bound;
-  tp.log_base = a.log_base;
-  TemporalCompressor enc(
-      a.scheme == Scheme::kSzT ? InnerCodec::kSz : InnerCodec::kZfp, tp);
-
-  ByteWriter out;
-  out.put(kSeriesMagic);
-  out.put(static_cast<std::uint32_t>(a.inputs.size()));
-  std::size_t raw = 0;
-  for (const auto& path : a.inputs) {
-    auto data = load_field<float>(path, dims);
-    raw += data.size() * sizeof(float);
-    out.put_sized(enc.compress_snapshot(data, dims));
-  }
-  auto bytes = out.take();
-  io::write_bytes(a.output, bytes);
-  std::printf("series: %zu snapshots of %s -> %zu bytes (ratio %.3f)\n",
-              a.inputs.size(), dims.to_string().c_str(), bytes.size(),
-              compression_ratio(raw, bytes.size()));
-  return 0;
+/// The TSR1 `series` container is no longer read. A file that starts with
+/// its magic fails with how to convert it.
+void refuse_series_container(const std::string& path) {
+  char head[4] = {};
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (!f) return;
+  const bool tsr1 = std::fread(head, 1, sizeof head, f) == sizeof head &&
+                    std::memcmp(head, "TSR1", sizeof head) == 0;
+  std::fclose(f);
+  if (tsr1)
+    throw StreamError(path +
+                      ": TSR1 series containers are no longer read; convert "
+                      "it with an earlier transpwr build: `transpwr "
+                      "unseries " + path +
+                      " -o PREFIX`, then `transpwr archive create -d DIMS "
+                      "-o OUT PREFIX_*.bin`");
 }
 
-int do_unseries(const Args& a) {
-  auto bytes = io::read_bytes(a.input);
-  ByteReader in(bytes);
-  if (in.get<std::uint32_t>() != kSeriesMagic)
-    throw ParamError(a.input + ": not a transpwr series container");
-  auto count = in.get<std::uint32_t>();
-  TemporalDecompressor dec;
-  for (std::uint32_t t = 0; t < count; ++t) {
-    Dims dims;
-    auto snap = dec.decompress_snapshot(in.get_sized(), &dims);
-    char name[32];
-    std::snprintf(name, sizeof name, "_%03u.bin", t);
-    io::write_floats(a.output + name, snap);
-  }
-  std::printf("unseries: wrote %u snapshots to %s_###.bin\n", count,
-              a.output.c_str());
-  return 0;
-}
-
-/// Describe a file: an archive dataset's directory entry, or a series
-/// container's snapshot count. Anything else exits 1.
+/// Describe an archive dataset's directory entry. Anything else exits 1.
 int do_info(const Args& a) {
   std::optional<store::ArchiveReader> reader;
   try {
     reader.emplace(a.input);
   } catch (const StreamError& e) {
-    auto bytes = io::read_bytes(a.input);
-    ByteReader in(bytes);
-    if (bytes.size() >= 8 && in.get<std::uint32_t>() == kSeriesMagic) {
-      std::printf("container: transpwr series v1\n");
-      std::printf("snapshots: %u\n", in.get<std::uint32_t>());
-      std::printf("size:      %zu bytes\n", bytes.size());
-      return 0;
-    }
     std::printf("%s: not a transpwr container (%s)\n", a.input.c_str(),
                 e.what());
     return 1;
@@ -530,9 +489,6 @@ const char* usage() {
       "  transpwr gen        -w hacc|cesm|nyx|hurricane -d DIMS\n"
       "                      [--field NAME] [--seed N] -o OUT\n"
       "  transpwr eval       -d DIMS [-b BOUND] [-t f32|f64] ORIG DECOMP\n"
-      "  transpwr series     -d DIMS [-b BOUND] [-s SZ_T|ZFP_T] -o OUT\n"
-      "                      SNAP1 SNAP2 ...\n"
-      "  transpwr unseries   IN -o OUTPREFIX\n"
       "  transpwr archive    create -d DIMS [-s SCHEME] [-b BOUND]\n"
       "                      [-t f32|f64] [--chunks N] [--threads N]\n"
       "                      -o OUT IN1 IN2 ...\n"
@@ -606,7 +562,6 @@ Args parse_args(const std::vector<std::string>& argv) {
   a.command = argv[0];
   if (a.command != "compress" && a.command != "decompress" &&
       a.command != "info" && a.command != "gen" && a.command != "eval" &&
-      a.command != "series" && a.command != "unseries" &&
       a.command != "archive" && a.command != "query" && a.command != "serve")
     throw ParamError("unknown command: " + a.command);
 
@@ -706,16 +661,6 @@ Args parse_args(const std::vector<std::string>& argv) {
     if (positional.size() != 1)
       throw ParamError("info needs one file argument");
     a.input = positional[0];
-  } else if (a.command == "series") {
-    if (positional.empty()) throw ParamError("series needs snapshot files");
-    a.inputs = positional;
-    if (a.output.empty()) throw ParamError("series requires -o OUT");
-    if (!a.dims) throw ParamError("series requires -d DIMS");
-  } else if (a.command == "unseries") {
-    if (positional.size() != 1)
-      throw ParamError("unseries needs one input file");
-    a.input = positional[0];
-    if (a.output.empty()) throw ParamError("unseries requires -o OUTPREFIX");
   } else if (a.command == "archive") {
     if (positional.empty())
       throw ParamError("archive needs a subcommand: create|ls|extract|verify");
@@ -777,6 +722,8 @@ Args parse_args(const std::vector<std::string>& argv) {
 namespace {
 
 int dispatch(const Args& a) {
+  if (a.command == "decompress" || a.command == "info")
+    refuse_series_container(a.input);
   if (a.command == "compress")
     return a.dtype == DataType::kFloat32 ? do_compress<float>(a)
                                          : do_compress<double>(a);
@@ -788,8 +735,6 @@ int dispatch(const Args& a) {
   if (a.command == "eval")
     return a.dtype == DataType::kFloat32 ? do_eval<float>(a)
                                          : do_eval<double>(a);
-  if (a.command == "series") return do_series(a);
-  if (a.command == "unseries") return do_unseries(a);
   if (a.command == "archive") return do_archive(a);
   if (a.command == "query") return do_query(a);
   if (a.command == "serve") return do_serve(a);

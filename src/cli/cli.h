@@ -16,14 +16,14 @@ namespace cli {
 /// Parsed command line for the `transpwr` tool. Kept as a plain struct so
 /// parsing is unit-testable without spawning processes.
 struct Args {
-  std::string command;  // compress|decompress|info|gen|eval|series|unseries
-                        // |archive|query|serve
+  std::string command;  // compress|decompress|info|gen|eval|archive|query
+                        // |serve
   std::string archive_cmd;  // archive: create|ls|extract|verify
   std::string query_cmd;    // query: summary|chunks|agg|count|preview
   std::string where;        // query: predicate spec, e.g. "gt:1.5"
   std::uint64_t points = 64;  // query preview: target sample count
   std::string input;
-  std::vector<std::string> inputs;  // series/archive create: input files
+  std::vector<std::string> inputs;  // archive create: input files
   std::string output;
   std::string dataset;      // archive extract: dataset to pull (default:
                             // the archive's only dataset)

@@ -35,29 +35,6 @@ void ThreadPool::submit(std::function<void()> task) {
   task_ready_.notify_one();
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock lk(mu_);
-  idle_.wait(lk, [this] { return tasks_.empty() && active_ == 0; });
-}
-
-void ThreadPool::parallel_for(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  std::size_t chunks = std::min(n, workers_.size());
-  if (chunks <= 1) {
-    fn(0, n);
-    return;
-  }
-  std::size_t per = (n + chunks - 1) / chunks;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    std::size_t b = c * per;
-    std::size_t e = std::min(n, b + per);
-    if (b >= e) break;
-    submit([&fn, b, e] { fn(b, e); });
-  }
-  wait_idle();
-}
-
 void ThreadPool::worker_loop() {
   t_in_worker = true;
   for (;;) {
@@ -68,14 +45,8 @@ void ThreadPool::worker_loop() {
       if (stop_ && tasks_.empty()) return;
       task = std::move(tasks_.front());
       tasks_.pop();
-      ++active_;
     }
     task();
-    {
-      std::lock_guard lk(mu_);
-      --active_;
-      if (tasks_.empty() && active_ == 0) idle_.notify_all();
-    }
   }
 }
 

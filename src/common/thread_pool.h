@@ -1,7 +1,6 @@
 #ifndef TRANSPWR_COMMON_THREAD_POOL_H
 #define TRANSPWR_COMMON_THREAD_POOL_H
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -12,9 +11,8 @@
 
 namespace transpwr {
 
-/// Fixed-size worker pool. Tasks are opaque thunks; parallel_for distributes
-/// an index range in contiguous chunks (predictable memory access per the
-/// HPC guidance) and blocks until all chunks complete.
+/// Fixed-size worker pool running opaque thunks. Index-range work goes
+/// through common/parallel, which layers slots and completion on submit().
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t num_threads);
@@ -34,14 +32,6 @@ class ThreadPool {
   /// Enqueue a task; returns immediately.
   void submit(std::function<void()> task);
 
-  /// Block until every submitted task has finished.
-  void wait_idle();
-
-  /// Run fn(begin, end) over [0, n) split into one contiguous chunk per
-  /// worker; blocks until done. Runs inline when the pool has one thread.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t, std::size_t)>& fn);
-
  private:
   void worker_loop();
 
@@ -49,8 +39,6 @@ class ThreadPool {
   std::queue<std::function<void()>> tasks_;
   std::mutex mu_;
   std::condition_variable task_ready_;
-  std::condition_variable idle_;
-  std::size_t active_ = 0;
   bool stop_ = false;
 };
 

@@ -36,23 +36,28 @@ struct CompressorParams {
   std::uint32_t fpzip_precision = 0;  ///< kFpzip: explicit -p; 0 => from bound
 };
 
-/// Uniform interface over all schemes; streams are self-describing.
+/// Uniform interface over all schemes; streams are self-describing. Each
+/// call dispatches on the held scheme, roots a "compress.<NAME>" or
+/// "decompress.<NAME>" span, and compress feeds the codec.bytes_in/out
+/// counters.
 class Compressor {
  public:
-  virtual ~Compressor() = default;
-  virtual Scheme scheme() const = 0;
-  std::string name() const { return scheme_name(scheme()); }
+  /// Throws ParamError for a value outside the Scheme enumerators.
+  explicit Compressor(Scheme scheme);
+  Scheme scheme() const { return scheme_; }
+  std::string name() const { return scheme_name(scheme_); }
 
-  virtual std::vector<std::uint8_t> compress(std::span<const float> data,
-                                             Dims dims,
-                                             const CompressorParams& p) = 0;
-  virtual std::vector<std::uint8_t> compress(std::span<const double> data,
-                                             Dims dims,
-                                             const CompressorParams& p) = 0;
-  virtual std::vector<float> decompress_f32(
-      std::span<const std::uint8_t> stream, Dims* dims = nullptr) = 0;
-  virtual std::vector<double> decompress_f64(
-      std::span<const std::uint8_t> stream, Dims* dims = nullptr) = 0;
+  std::vector<std::uint8_t> compress(std::span<const float> data, Dims dims,
+                                     const CompressorParams& p);
+  std::vector<std::uint8_t> compress(std::span<const double> data, Dims dims,
+                                     const CompressorParams& p);
+  std::vector<float> decompress_f32(std::span<const std::uint8_t> stream,
+                                    Dims* dims = nullptr);
+  std::vector<double> decompress_f64(std::span<const std::uint8_t> stream,
+                                     Dims* dims = nullptr);
+
+ private:
+  Scheme scheme_;
 };
 
 std::unique_ptr<Compressor> make_compressor(Scheme scheme);

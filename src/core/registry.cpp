@@ -1,6 +1,6 @@
+#include <algorithm>
 #include <array>
 #include <cmath>
-#include <utility>
 
 #include "common/error.h"
 #include "core/compressor.h"
@@ -14,6 +14,30 @@
 namespace transpwr {
 namespace {
 
+struct SchemeNames {
+  const char* name;
+  const char* compress_span;
+  const char* decompress_span;
+};
+
+/// Indexed by Scheme value.
+constexpr std::array<SchemeNames, 8> kNames = {{
+    {"SZ_ABS", "compress.SZ_ABS", "decompress.SZ_ABS"},
+    {"SZ_PWR", "compress.SZ_PWR", "decompress.SZ_PWR"},
+    {"SZ_T", "compress.SZ_T", "decompress.SZ_T"},
+    {"ZFP_P", "compress.ZFP_P", "decompress.ZFP_P"},
+    {"ZFP_T", "compress.ZFP_T", "decompress.ZFP_T"},
+    {"FPZIP", "compress.FPZIP", "decompress.FPZIP"},
+    {"ISABELA", "compress.ISABELA", "decompress.ISABELA"},
+    {"SZI_T", "compress.SZI_T", "decompress.SZI_T"},
+}};
+
+constexpr std::array<Scheme, 8> kAllSchemes = {
+    Scheme::kSzAbs, Scheme::kSzPwr, Scheme::kSzT,     Scheme::kZfpP,
+    Scheme::kZfpT,  Scheme::kFpzip, Scheme::kIsabela, Scheme::kSziT};
+
+std::size_t index_of(Scheme s) { return static_cast<std::size_t>(s); }
+
 sz::Params sz_params(const CompressorParams& p, sz::Mode mode) {
   sz::Params sp;
   sp.mode = mode;
@@ -22,272 +46,103 @@ sz::Params sz_params(const CompressorParams& p, sz::Mode mode) {
   return sp;
 }
 
-/// SZ with a plain absolute bound, or the blockwise PWR baseline.
-class SzCompressor final : public Compressor {
- public:
-  explicit SzCompressor(sz::Mode mode, Scheme scheme)
-      : mode_(mode), scheme_(scheme) {}
-  Scheme scheme() const override { return scheme_; }
-
-  std::vector<std::uint8_t> compress(std::span<const float> d, Dims dims,
-                                     const CompressorParams& p) override {
-    return sz::compress<float>(d, dims, sz_params(p, mode_));
-  }
-  std::vector<std::uint8_t> compress(std::span<const double> d, Dims dims,
-                                     const CompressorParams& p) override {
-    return sz::compress<double>(d, dims, sz_params(p, mode_));
-  }
-  std::vector<float> decompress_f32(std::span<const std::uint8_t> s,
-                                    Dims* dims) override {
-    return sz::decompress<float>(s, dims);
-  }
-  std::vector<double> decompress_f64(std::span<const std::uint8_t> s,
-                                     Dims* dims) override {
-    return sz::decompress<double>(s, dims);
-  }
-
- private:
-  sz::Mode mode_;
-  Scheme scheme_;
-};
-
 /// ZFP in precision mode (the paper's ZFP_P). An explicit -p can be given;
 /// otherwise a bound-derived heuristic close to the paper's hand tuning is
 /// used. Does not strictly respect the relative bound by design.
-class ZfpPrecisionCompressor final : public Compressor {
- public:
-  Scheme scheme() const override { return Scheme::kZfpP; }
-
-  static std::uint32_t pick_precision(const CompressorParams& p) {
-    if (p.zfp_precision) return p.zfp_precision;
+zfp::Params zfp_precision_params(const CompressorParams& p) {
+  zfp::Params zp;
+  zp.mode = zfp::Mode::kPrecision;
+  zp.precision = p.zfp_precision;
+  if (!zp.precision) {
     int bits = static_cast<int>(std::ceil(std::log2(1.0 / p.bound)));
-    return static_cast<std::uint32_t>(std::max(4, bits + 16));
+    zp.precision = static_cast<std::uint32_t>(std::max(4, bits + 16));
   }
+  return zp;
+}
 
-  std::vector<std::uint8_t> compress(std::span<const float> d, Dims dims,
-                                     const CompressorParams& p) override {
-    return zfp::compress<float>(d, dims, make_params(p));
-  }
-  std::vector<std::uint8_t> compress(std::span<const double> d, Dims dims,
-                                     const CompressorParams& p) override {
-    return zfp::compress<double>(d, dims, make_params(p));
-  }
-  std::vector<float> decompress_f32(std::span<const std::uint8_t> s,
-                                    Dims* dims) override {
-    return zfp::decompress<float>(s, dims);
-  }
-  std::vector<double> decompress_f64(std::span<const std::uint8_t> s,
-                                     Dims* dims) override {
-    return zfp::decompress<double>(s, dims);
-  }
+/// The paper's contribution: SZ_T / ZFP_T (and the SZI_T extension).
+TransformedParams transformed_params(const CompressorParams& p) {
+  TransformedParams tp;
+  tp.rel_bound = p.bound;
+  tp.log_base = p.log_base;
+  tp.quant_intervals = p.quant_intervals;
+  return tp;
+}
 
- private:
-  static zfp::Params make_params(const CompressorParams& p) {
-    zfp::Params zp;
-    zp.mode = zfp::Mode::kPrecision;
-    zp.precision = pick_precision(p);
-    return zp;
-  }
-};
+template <typename T>
+fpzip::Params fpzip_params(const CompressorParams& p) {
+  fpzip::Params fp;
+  fp.precision = p.fpzip_precision
+                     ? p.fpzip_precision
+                     : fpzip::precision_for_rel_bound<T>(p.bound);
+  return fp;
+}
 
-/// The paper's contribution: SZ_T / ZFP_T.
-class TransformedCompressor final : public Compressor {
- public:
-  explicit TransformedCompressor(InnerCodec codec)
-      : codec_(codec) {}
-  Scheme scheme() const override {
-    return codec_ == InnerCodec::kSz         ? Scheme::kSzT
-           : codec_ == InnerCodec::kSzInterp ? Scheme::kSziT
-                                             : Scheme::kZfpT;
-  }
+isabela::Params isabela_params(const CompressorParams& p) {
+  isabela::Params ip;
+  ip.rel_bound = p.bound;
+  return ip;
+}
 
-  std::vector<std::uint8_t> compress(std::span<const float> d, Dims dims,
-                                     const CompressorParams& p) override {
-    return transformed_compress<float>(d, dims, codec_, make_params(p));
-  }
-  std::vector<std::uint8_t> compress(std::span<const double> d, Dims dims,
-                                     const CompressorParams& p) override {
-    return transformed_compress<double>(d, dims, codec_, make_params(p));
-  }
-  std::vector<float> decompress_f32(std::span<const std::uint8_t> s,
-                                    Dims* dims) override {
-    return transformed_decompress<float>(s, dims);
-  }
-  std::vector<double> decompress_f64(std::span<const std::uint8_t> s,
-                                     Dims* dims) override {
-    return transformed_decompress<double>(s, dims);
-  }
-
- private:
-  static TransformedParams make_params(const CompressorParams& p) {
-    TransformedParams tp;
-    tp.rel_bound = p.bound;
-    tp.log_base = p.log_base;
-    tp.quant_intervals = p.quant_intervals;
-    return tp;
-  }
-
-  InnerCodec codec_;
-};
-
-class FpzipCompressor final : public Compressor {
- public:
-  Scheme scheme() const override { return Scheme::kFpzip; }
-
-  std::vector<std::uint8_t> compress(std::span<const float> d, Dims dims,
-                                     const CompressorParams& p) override {
-    fpzip::Params fp;
-    fp.precision = p.fpzip_precision
-                       ? p.fpzip_precision
-                       : fpzip::precision_for_rel_bound<float>(p.bound);
-    return fpzip::compress<float>(d, dims, fp);
-  }
-  std::vector<std::uint8_t> compress(std::span<const double> d, Dims dims,
-                                     const CompressorParams& p) override {
-    fpzip::Params fp;
-    fp.precision = p.fpzip_precision
-                       ? p.fpzip_precision
-                       : fpzip::precision_for_rel_bound<double>(p.bound);
-    return fpzip::compress<double>(d, dims, fp);
-  }
-  std::vector<float> decompress_f32(std::span<const std::uint8_t> s,
-                                    Dims* dims) override {
-    return fpzip::decompress<float>(s, dims);
-  }
-  std::vector<double> decompress_f64(std::span<const std::uint8_t> s,
-                                     Dims* dims) override {
-    return fpzip::decompress<double>(s, dims);
-  }
-};
-
-class IsabelaCompressor final : public Compressor {
- public:
-  Scheme scheme() const override { return Scheme::kIsabela; }
-
-  std::vector<std::uint8_t> compress(std::span<const float> d, Dims dims,
-                                     const CompressorParams& p) override {
-    return isabela::compress<float>(d, dims, make_params(p));
-  }
-  std::vector<std::uint8_t> compress(std::span<const double> d, Dims dims,
-                                     const CompressorParams& p) override {
-    return isabela::compress<double>(d, dims, make_params(p));
-  }
-  std::vector<float> decompress_f32(std::span<const std::uint8_t> s,
-                                    Dims* dims) override {
-    return isabela::decompress<float>(s, dims);
-  }
-  std::vector<double> decompress_f64(std::span<const std::uint8_t> s,
-                                     Dims* dims) override {
-    return isabela::decompress<double>(s, dims);
-  }
-
- private:
-  static isabela::Params make_params(const CompressorParams& p) {
-    isabela::Params ip;
-    ip.rel_bound = p.bound;
-    return ip;
-  }
-};
-
-constexpr std::array<Scheme, 8> kAllSchemes = {
-    Scheme::kSzAbs, Scheme::kSzPwr, Scheme::kSzT,     Scheme::kZfpP,
-    Scheme::kZfpT,  Scheme::kFpzip, Scheme::kIsabela, Scheme::kSziT};
-
-/// Decorator around every registered scheme: roots a per-scheme span
-/// ("compress.SZ_T" / "decompress.SZ_T") over each call and feeds the
-/// codec byte counters, so the CLI and harness report uniformly without
-/// each scheme class carrying its own instrumentation.
-class InstrumentedCompressor final : public Compressor {
- public:
-  explicit InstrumentedCompressor(std::unique_ptr<Compressor> inner)
-      : inner_(std::move(inner)),
-        compress_label_(std::string("compress.") +
-                        scheme_name(inner_->scheme())),
-        decompress_label_(std::string("decompress.") +
-                          scheme_name(inner_->scheme())) {}
-  Scheme scheme() const override { return inner_->scheme(); }
-
-  std::vector<std::uint8_t> compress(std::span<const float> d, Dims dims,
-                                     const CompressorParams& p) override {
-    obs::Span span(compress_label_);
-    auto out = inner_->compress(d, dims, p);
-    note_compressed(d.size_bytes(), out.size());
-    return out;
-  }
-  std::vector<std::uint8_t> compress(std::span<const double> d, Dims dims,
-                                     const CompressorParams& p) override {
-    obs::Span span(compress_label_);
-    auto out = inner_->compress(d, dims, p);
-    note_compressed(d.size_bytes(), out.size());
-    return out;
-  }
-  std::vector<float> decompress_f32(std::span<const std::uint8_t> s,
-                                    Dims* dims) override {
-    obs::Span span(decompress_label_);
-    return inner_->decompress_f32(s, dims);
-  }
-  std::vector<double> decompress_f64(std::span<const std::uint8_t> s,
-                                     Dims* dims) override {
-    obs::Span span(decompress_label_);
-    return inner_->decompress_f64(s, dims);
-  }
-
- private:
-  static void note_compressed(std::size_t in_bytes, std::size_t out_bytes) {
-    obs::counter_add("codec.bytes_in", in_bytes);
-    obs::counter_add("codec.bytes_out", out_bytes);
-  }
-
-  std::unique_ptr<Compressor> inner_;
-  std::string compress_label_;
-  std::string decompress_label_;
-};
-
-std::unique_ptr<Compressor> make_plain_compressor(Scheme scheme) {
-  switch (scheme) {
+template <typename T>
+std::vector<std::uint8_t> encode(Scheme s, std::span<const T> d, Dims dims,
+                                 const CompressorParams& p) {
+  switch (s) {
     case Scheme::kSzAbs:
-      return std::make_unique<SzCompressor>(sz::Mode::kAbs, Scheme::kSzAbs);
+      return sz::compress<T>(d, dims, sz_params(p, sz::Mode::kAbs));
     case Scheme::kSzPwr:
-      return std::make_unique<SzCompressor>(sz::Mode::kPwrBlock,
-                                            Scheme::kSzPwr);
+      return sz::compress<T>(d, dims, sz_params(p, sz::Mode::kPwrBlock));
     case Scheme::kSzT:
-      return std::make_unique<TransformedCompressor>(InnerCodec::kSz);
+      return transformed_compress<T>(d, dims, InnerCodec::kSz,
+                                     transformed_params(p));
     case Scheme::kZfpP:
-      return std::make_unique<ZfpPrecisionCompressor>();
+      return zfp::compress<T>(d, dims, zfp_precision_params(p));
     case Scheme::kZfpT:
-      return std::make_unique<TransformedCompressor>(InnerCodec::kZfp);
+      return transformed_compress<T>(d, dims, InnerCodec::kZfp,
+                                     transformed_params(p));
     case Scheme::kFpzip:
-      return std::make_unique<FpzipCompressor>();
+      return fpzip::compress<T>(d, dims, fpzip_params<T>(p));
     case Scheme::kIsabela:
-      return std::make_unique<IsabelaCompressor>();
+      return isabela::compress<T>(d, dims, isabela_params(p));
     case Scheme::kSziT:
-      return std::make_unique<TransformedCompressor>(InnerCodec::kSzInterp);
+      return transformed_compress<T>(d, dims, InnerCodec::kSzInterp,
+                                     transformed_params(p));
   }
-  throw ParamError("make_compressor: unknown scheme");
+  throw ParamError("compress: unknown scheme");
+}
+
+template <typename T>
+std::vector<T> decode(Scheme s, std::span<const std::uint8_t> stream,
+                      Dims* dims) {
+  switch (s) {
+    case Scheme::kSzAbs:
+    case Scheme::kSzPwr:
+      return sz::decompress<T>(stream, dims);
+    case Scheme::kSzT:
+    case Scheme::kZfpT:
+    case Scheme::kSziT:
+      return transformed_decompress<T>(stream, dims);
+    case Scheme::kZfpP:
+      return zfp::decompress<T>(stream, dims);
+    case Scheme::kFpzip:
+      return fpzip::decompress<T>(stream, dims);
+    case Scheme::kIsabela:
+      return isabela::decompress<T>(stream, dims);
+  }
+  throw ParamError("decompress: unknown scheme");
+}
+
+std::vector<std::uint8_t> note_compressed(std::size_t in_bytes,
+                                          std::vector<std::uint8_t> out) {
+  obs::counter_add("codec.bytes_in", in_bytes);
+  obs::counter_add("codec.bytes_out", out.size());
+  return out;
 }
 
 }  // namespace
 
 const char* scheme_name(Scheme s) {
-  switch (s) {
-    case Scheme::kSzAbs:
-      return "SZ_ABS";
-    case Scheme::kSzPwr:
-      return "SZ_PWR";
-    case Scheme::kSzT:
-      return "SZ_T";
-    case Scheme::kZfpP:
-      return "ZFP_P";
-    case Scheme::kZfpT:
-      return "ZFP_T";
-    case Scheme::kFpzip:
-      return "FPZIP";
-    case Scheme::kIsabela:
-      return "ISABELA";
-    case Scheme::kSziT:
-      return "SZI_T";
-  }
-  return "unknown";
+  return index_of(s) < kNames.size() ? kNames[index_of(s)].name : "unknown";
 }
 
 Scheme scheme_from_name(const std::string& name) {
@@ -296,9 +151,39 @@ Scheme scheme_from_name(const std::string& name) {
   throw ParamError("unknown scheme name: " + name);
 }
 
+Compressor::Compressor(Scheme scheme) : scheme_(scheme) {
+  if (index_of(scheme) >= kNames.size())
+    throw ParamError("make_compressor: unknown scheme");
+}
+
+std::vector<std::uint8_t> Compressor::compress(std::span<const float> d,
+                                               Dims dims,
+                                               const CompressorParams& p) {
+  obs::Span span(kNames[index_of(scheme_)].compress_span);
+  return note_compressed(d.size_bytes(), encode(scheme_, d, dims, p));
+}
+
+std::vector<std::uint8_t> Compressor::compress(std::span<const double> d,
+                                               Dims dims,
+                                               const CompressorParams& p) {
+  obs::Span span(kNames[index_of(scheme_)].compress_span);
+  return note_compressed(d.size_bytes(), encode(scheme_, d, dims, p));
+}
+
+std::vector<float> Compressor::decompress_f32(std::span<const std::uint8_t> s,
+                                              Dims* dims) {
+  obs::Span span(kNames[index_of(scheme_)].decompress_span);
+  return decode<float>(scheme_, s, dims);
+}
+
+std::vector<double> Compressor::decompress_f64(
+    std::span<const std::uint8_t> s, Dims* dims) {
+  obs::Span span(kNames[index_of(scheme_)].decompress_span);
+  return decode<double>(scheme_, s, dims);
+}
+
 std::unique_ptr<Compressor> make_compressor(Scheme scheme) {
-  return std::make_unique<InstrumentedCompressor>(
-      make_plain_compressor(scheme));
+  return std::make_unique<Compressor>(scheme);
 }
 
 std::span<const Scheme> all_schemes() { return kAllSchemes; }

@@ -123,63 +123,6 @@ TEST(CliEndToEnd, GenCompressInfoDecompressEval) {
 }
 
 
-TEST(CliEndToEnd, SeriesRoundTrip) {
-  // Three evolving snapshots -> series container -> unseries -> verify.
-  std::string s0 = tmp("snap0.bin"), s1 = tmp("snap1.bin"),
-              s2 = tmp("snap2.bin");
-  std::string packed = tmp("series.tps");
-  std::string prefix = tmp("snap_out");
-
-  ASSERT_EQ(cli::run(cli::parse_args({"gen", "-w", "hurricane", "-d",
-                                      "8x24x24", "--seed", "3", "-o", s0})),
-            0);
-  // Derive two more steps by re-generating with nearby seeds (stand-in for
-  // simulation output files).
-  ASSERT_EQ(cli::run(cli::parse_args({"gen", "-w", "hurricane", "-d",
-                                      "8x24x24", "--seed", "3", "-o", s1})),
-            0);
-  ASSERT_EQ(cli::run(cli::parse_args({"gen", "-w", "hurricane", "-d",
-                                      "8x24x24", "--seed", "4", "-o", s2})),
-            0);
-
-  auto c = cli::parse_args({"series", "-d", "8x24x24", "-b", "1e-2", "-o",
-                            packed, s0, s1, s2});
-  ASSERT_EQ(cli::run(c), 0);
-  auto u = cli::parse_args({"unseries", packed, "-o", prefix});
-  ASSERT_EQ(cli::run(u), 0);
-
-  for (int t = 0; t < 3; ++t) {
-    char name[32];
-    std::snprintf(name, sizeof name, "_%03d.bin", t);
-    auto orig = io::read_floats(t == 0 ? s0 : t == 1 ? s1 : s2);
-    auto dec = io::read_floats(prefix + name);
-    ASSERT_EQ(orig.size(), dec.size());
-    for (std::size_t i = 0; i < orig.size(); ++i) {
-      if (orig[i] == 0.0f)
-        ASSERT_EQ(dec[i], 0.0f);
-      else
-        ASSERT_LE(std::abs(orig[i] - dec[i]), 1e-2 * std::abs(orig[i]));
-    }
-    std::remove((prefix + name).c_str());
-  }
-  std::remove(s0.c_str());
-  std::remove(s1.c_str());
-  std::remove(s2.c_str());
-  std::remove(packed.c_str());
-}
-
-TEST(CliParse, SeriesValidation) {
-  EXPECT_THROW(cli::parse_args({"series", "-d", "10", "-o", "x"}),
-               ParamError);  // no snapshots
-  EXPECT_THROW(cli::parse_args({"series", "-d", "10", "a", "b"}),
-               ParamError);  // no -o
-  EXPECT_THROW(cli::parse_args({"series", "-o", "x", "a"}),
-               ParamError);  // no dims
-  EXPECT_THROW(cli::parse_args({"unseries", "a", "b"}), ParamError);
-  auto ok = cli::parse_args({"series", "-d", "4x4", "-o", "out", "a", "b"});
-  EXPECT_EQ(ok.inputs.size(), 2u);
-}
-
 TEST(CliParse, ArchiveSubcommands) {
   auto c = cli::parse_args({"archive", "create", "-d", "32x8", "-s", "ZFP_T",
                             "-b", "1e-4", "--chunks", "4", "-o", "out.tpar",
@@ -659,6 +602,35 @@ TEST(CliEndToEnd, RetiredChunkedFilesAreRejected) {
   EXPECT_THROW(
       cli::run(cli::parse_args({"decompress", old, tmp("retired.bin")})),
       StreamError);
+  std::remove(old.c_str());
+}
+
+// The retired TSR1 series container is refused by info and decompress
+// with how to convert it, and series/unseries are no longer commands.
+TEST(CliEndToEnd, SeriesContainerIsRefusedWithConversionHint) {
+  const std::string old = tmp("retired.tps");
+  std::vector<std::uint8_t> bytes(64, 0);
+  const char magic[] = {'T', 'S', 'R', '1'};
+  std::memcpy(bytes.data(), magic, sizeof magic);
+  bytes[4] = 3;  // snapshot count
+  io::write_bytes(old, bytes);
+  const std::string out = tmp("retired_series.bin");
+  const std::vector<std::vector<const char*>> commands = {
+      {"transpwr", "info", old.c_str()},
+      {"transpwr", "decompress", old.c_str(), out.c_str()}};
+  for (const auto& argv : commands) {
+    SCOPED_TRACE(argv[1]);
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(cli::main_entry(static_cast<int>(argv.size()), argv.data()), 2);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    for (const char* hint : {"TSR1", "earlier transpwr build",
+                             "transpwr unseries", "transpwr archive create"})
+      EXPECT_NE(err.find(hint), std::string::npos) << hint << " in " << err;
+  }
+  EXPECT_FALSE(std::filesystem::exists(out));
+  EXPECT_THROW(cli::parse_args({"series", "-d", "4x4", "-o", "o", "a"}),
+               ParamError);
+  EXPECT_THROW(cli::parse_args({"unseries", old, "-o", "p"}), ParamError);
   std::remove(old.c_str());
 }
 

@@ -3,61 +3,27 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
-#include <vector>
+#include <latch>
 
 namespace transpwr {
 namespace {
 
 TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
   std::atomic<int> count{0};
+  std::latch done(100);
+  ThreadPool pool(4);  // destroyed first: workers join before the latch dies
   for (int i = 0; i < 100; ++i)
-    pool.submit([&count] { count.fetch_add(1); });
-  pool.wait_idle();
+    pool.submit([&] {
+      count.fetch_add(1);
+      done.count_down();
+    });
+  done.wait();
   EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(8);
-  const std::size_t n = 100000;
-  std::vector<std::atomic<int>> hits(n);
-  pool.parallel_for(n, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
-  });
-  for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(ThreadPool, ParallelForEmptyRange) {
-  ThreadPool pool(2);
-  bool ran = false;
-  pool.parallel_for(0, [&](std::size_t, std::size_t) { ran = true; });
-  EXPECT_FALSE(ran);
-}
-
-TEST(ThreadPool, SingleThreadRunsInline) {
-  ThreadPool pool(1);
-  std::size_t total = 0;
-  pool.parallel_for(10, [&](std::size_t b, std::size_t e) {
-    total += e - b;
-  });
-  EXPECT_EQ(total, 10u);
 }
 
 TEST(ThreadPool, SizeClampedToAtLeastOne) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.size(), 1u);
-}
-
-TEST(ThreadPool, ReusableAcrossWaves) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int wave = 0; wave < 10; ++wave) {
-    pool.parallel_for(1000, [&](std::size_t b, std::size_t e) {
-      count.fetch_add(static_cast<int>(e - b));
-    });
-  }
-  EXPECT_EQ(count.load(), 10000);
 }
 
 }  // namespace

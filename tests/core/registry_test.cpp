@@ -4,10 +4,12 @@
 
 #include <cmath>
 #include <string>
+#include <type_traits>
 
 #include "common/error.h"
 #include "data/generators.h"
 #include "metrics/metrics.h"
+#include "obs/obs.h"
 
 namespace transpwr {
 namespace {
@@ -25,6 +27,55 @@ TEST(Registry, AllSchemesListedOnce) {
   for (std::size_t i = 0; i < schemes.size(); ++i)
     for (std::size_t j = i + 1; j < schemes.size(); ++j)
       EXPECT_NE(schemes[i], schemes[j]);
+}
+
+TEST(Registry, OutOfRangeSchemeIsRefused) {
+  EXPECT_THROW(make_compressor(static_cast<Scheme>(8)), ParamError);
+  EXPECT_THROW(make_compressor(static_cast<Scheme>(255)), ParamError);
+  EXPECT_STREQ(scheme_name(static_cast<Scheme>(8)), "unknown");
+}
+
+/// Call count of the span at `path`, or 0 when none was recorded.
+std::uint64_t span_count(const obs::Snapshot& snap, const std::string& path) {
+  for (const auto& [name, stat] : snap.spans)
+    if (name == path) return stat.count;
+  return 0;
+}
+
+template <typename T>
+void check_recorded_round_trip(Scheme s) {
+  std::vector<T> data(600);
+  for (std::size_t i = 0; i < data.size(); ++i)
+    data[i] = static_cast<T>(50.0 + 10.0 * std::sin(0.05 * i));
+  CompressorParams p;
+  p.bound = 1e-2;
+  obs::ScopedRecording rec;
+  obs::reset();
+  auto c = make_compressor(s);
+  auto stream = c->compress(std::span<const T>(data), Dims(20, 30), p);
+  Dims dims;
+  std::vector<T> out;
+  if constexpr (std::is_same_v<T, float>)
+    out = c->decompress_f32(stream, &dims);
+  else
+    out = c->decompress_f64(stream, &dims);
+  EXPECT_EQ(dims, Dims(20, 30));
+  EXPECT_EQ(out.size(), data.size());
+
+  const obs::Snapshot snap = obs::snapshot();
+  const std::string name = scheme_name(s);
+  EXPECT_EQ(span_count(snap, "compress." + name), 1u);
+  EXPECT_EQ(span_count(snap, "decompress." + name), 1u);
+  EXPECT_EQ(obs::counter_value("codec.bytes_in"), data.size() * sizeof(T));
+  EXPECT_EQ(obs::counter_value("codec.bytes_out"), stream.size());
+}
+
+TEST(Registry, EveryRoundTripRecordsItsSpansAndByteCounters) {
+  for (Scheme s : all_schemes()) {
+    SCOPED_TRACE(scheme_name(s));
+    check_recorded_round_trip<float>(s);
+    check_recorded_round_trip<double>(s);
+  }
 }
 
 TEST(Registry, CompressorReportsItsScheme) {

@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "data/generators.h"
+#include "obs/obs.h"
 
 namespace transpwr {
 namespace {
@@ -67,6 +68,24 @@ TEST(ParallelHarness, SharedArchiveLayoutRoundTrips) {
   EXPECT_EQ(res.ranks, 4u);
   EXPECT_GT(res.compression_ratio, 1.0);
   EXPECT_GT(res.write_s, 0.0);  // rank 0's archive write
+}
+
+// The N-to-1 write phase stores the ranks' streams as they are: the
+// scratch archive is never queried, so no summary decode may run inside
+// the timed write.
+TEST(ParallelHarness, SharedArchiveWriteDecodesNoSummaries) {
+  parallel::RunConfig cfg;
+  cfg.scheme = Scheme::kSzT;
+  cfg.params.bound = 1e-2;
+  cfg.ranks = 3;
+  cfg.dir = ::testing::TempDir();
+  cfg.layout = parallel::Layout::kSharedArchive;
+  obs::ScopedRecording rec;
+  obs::reset();
+  auto res = parallel::run(cfg, small_shards());
+  EXPECT_TRUE(res.verified);
+  EXPECT_GT(obs::counter_value("codec.bytes_in"), 0u);  // recording is live
+  EXPECT_EQ(obs::counter_value("archive.summary_chunks"), 0u);
 }
 
 TEST(ParallelHarness, SharedArchiveSingleRank) {

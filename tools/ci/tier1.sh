@@ -80,4 +80,13 @@ cmake --build "$asan" --target hunter -j "$jobs"
 TRANSPWR_KERNELS=native "$asan/tools/hunter/hunter" \
   --max-points 256 --bound 1e-2 --bound 1e-4 --bound 2.5e-5
 
+# Codec dispatch and CLI smoke under the same sanitizers: every scheme
+# through the one compress/decompress switch of `Compressor` (round trips,
+# spans and byte counters), and the CLI end to end, including the refusal
+# of retired TSR1 series containers.
+echo "=== tier-1 [asan-ubsan]: registry + cli smoke ==="
+cmake --build "$asan" --target test_registry test_cli -j "$jobs"
+"$asan/tests/test_registry"
+"$asan/tests/test_cli"
+
 echo "tier-1: all configurations green"
