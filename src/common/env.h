@@ -15,11 +15,9 @@
 namespace transpwr {
 namespace env {
 
-/// Shared checked parser for the TRANSPWR_* environment knobs. The three
-/// historical call sites (TRANSPWR_THREADS, TRANSPWR_MAX_DECODE_BYTES,
-/// TRANSPWR_ENTROPY_BLOCK) each grew a slightly different ad-hoc strtoull
-/// loop — one silently dropped large values, one accepted trailing garbage,
-/// one was strict. This helper gives them one contract:
+/// Shared checked parser for the TRANSPWR_* environment knobs (such as
+/// TRANSPWR_THREADS and TRANSPWR_MAX_DECODE_BYTES). It gives them one
+/// contract:
 ///   - unset            -> nullopt (caller default)
 ///   - malformed        -> warn once on stderr, count `env.malformed`,
 ///                         nullopt (caller default)

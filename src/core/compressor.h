@@ -11,7 +11,8 @@
 
 namespace transpwr {
 
-/// The seven compression schemes the paper evaluates (Sec. VI).
+/// The eight compression schemes: the seven the paper evaluates (Sec. VI)
+/// plus the SZI_T extension.
 enum class Scheme : std::uint8_t {
   kSzAbs = 0,    ///< SZ, absolute error bound (comparison point, Figs. 4-5)
   kSzPwr = 1,    ///< SZ blockwise pointwise-relative baseline [12]
@@ -27,13 +28,11 @@ const char* scheme_name(Scheme s);
 Scheme scheme_from_name(const std::string& name);
 
 /// Scheme-independent knobs. `bound` is the absolute error bound for kSzAbs
-/// and the pointwise relative error bound for every other scheme.
+/// and the pointwise relative error bound for every other scheme; each
+/// scheme derives the rest of its codec's settings from it.
 struct CompressorParams {
   double bound = 1e-3;
-  double log_base = 2.0;          ///< base for the kSzT / kZfpT transform
-  std::uint32_t quant_intervals = 65536;  ///< SZ quantization bins
-  std::uint32_t zfp_precision = 0;  ///< kZfpP: explicit -p; 0 => heuristic
-  std::uint32_t fpzip_precision = 0;  ///< kFpzip: explicit -p; 0 => from bound
+  double log_base = 2.0;  ///< base for the kSzT / kZfpT / kSziT transform
 };
 
 /// Uniform interface over all schemes; streams are self-describing. Each

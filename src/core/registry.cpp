@@ -42,21 +42,17 @@ sz::Params sz_params(const CompressorParams& p, sz::Mode mode) {
   sz::Params sp;
   sp.mode = mode;
   sp.bound = p.bound;
-  sp.quant_intervals = p.quant_intervals;
   return sp;
 }
 
-/// ZFP in precision mode (the paper's ZFP_P). An explicit -p can be given;
-/// otherwise a bound-derived heuristic close to the paper's hand tuning is
-/// used. Does not strictly respect the relative bound by design.
-zfp::Params zfp_precision_params(const CompressorParams& p) {
+/// ZFP in precision mode (the paper's ZFP_P), with a bound-derived
+/// precision close to the paper's hand tuning. Does not strictly respect
+/// the relative bound by design.
+zfp::Params zfp_p_params(const CompressorParams& p) {
   zfp::Params zp;
   zp.mode = zfp::Mode::kPrecision;
-  zp.precision = p.zfp_precision;
-  if (!zp.precision) {
-    int bits = static_cast<int>(std::ceil(std::log2(1.0 / p.bound)));
-    zp.precision = static_cast<std::uint32_t>(std::max(4, bits + 16));
-  }
+  int bits = static_cast<int>(std::ceil(std::log2(1.0 / p.bound)));
+  zp.precision = static_cast<std::uint32_t>(std::max(4, bits + 16));
   return zp;
 }
 
@@ -65,16 +61,13 @@ TransformedParams transformed_params(const CompressorParams& p) {
   TransformedParams tp;
   tp.rel_bound = p.bound;
   tp.log_base = p.log_base;
-  tp.quant_intervals = p.quant_intervals;
   return tp;
 }
 
 template <typename T>
 fpzip::Params fpzip_params(const CompressorParams& p) {
   fpzip::Params fp;
-  fp.precision = p.fpzip_precision
-                     ? p.fpzip_precision
-                     : fpzip::precision_for_rel_bound<T>(p.bound);
+  fp.precision = fpzip::precision_for_rel_bound<T>(p.bound);
   return fp;
 }
 
@@ -96,7 +89,7 @@ std::vector<std::uint8_t> encode(Scheme s, std::span<const T> d, Dims dims,
       return transformed_compress<T>(d, dims, InnerCodec::kSz,
                                      transformed_params(p));
     case Scheme::kZfpP:
-      return zfp::compress<T>(d, dims, zfp_precision_params(p));
+      return zfp::compress<T>(d, dims, zfp_p_params(p));
     case Scheme::kZfpT:
       return transformed_compress<T>(d, dims, InnerCodec::kZfp,
                                      transformed_params(p));

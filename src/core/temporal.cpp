@@ -19,12 +19,10 @@ constexpr std::uint32_t kMagic = 0x31504D54;  // "TMP1"
 
 std::vector<std::uint8_t> inner_compress(InnerCodec codec,
                                          std::span<const float> data,
-                                         Dims dims, double abs_bound,
-                                         std::uint32_t quant_intervals) {
+                                         Dims dims, double abs_bound) {
   if (codec == InnerCodec::kSz) {
     sz::Params sp;
     sp.bound = abs_bound;
-    sp.quant_intervals = quant_intervals;
     return sz::compress<float>(data, dims, sp);
   }
   zfp::Params zp;
@@ -88,8 +86,7 @@ std::vector<std::uint8_t> TemporalCompressor::compress_snapshot(
                                       static_cast<double>(prev_mapped_[i]));
   }
 
-  auto inner = inner_compress(codec_, payload, dims, bound,
-                              params_.quant_intervals);
+  auto inner = inner_compress(codec_, payload, dims, bound);
 
   // Advance encoder state to the decoder's reconstruction.
   Dims got;

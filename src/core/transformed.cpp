@@ -51,13 +51,11 @@ std::vector<std::uint8_t> transformed_compress(std::span<const T> data,
       sz::Params sp;
       sp.mode = sz::Mode::kAbs;
       sp.bound = tr.adjusted_abs_bound;
-      sp.quant_intervals = p.quant_intervals;
       sp.threads = p.threads;
       inner = sz::compress<T>(tr.mapped, dims, sp);
     } else if (codec == InnerCodec::kSzInterp) {
       sz_interp::Params ip;
       ip.bound = tr.adjusted_abs_bound;
-      ip.quant_intervals = p.quant_intervals;
       ip.threads = p.threads;
       inner = sz_interp::compress<T>(tr.mapped, dims, ip);
     } else {

@@ -19,7 +19,6 @@ enum class InnerCodec : std::uint8_t { kSz = 0, kZfp = 1, kSzInterp = 2 };
 struct TransformedParams {
   double rel_bound = 1e-3;
   double log_base = 2.0;
-  std::uint32_t quant_intervals = 65536;  ///< SZ inner codec only
   std::size_t threads = 0;  ///< transform-stage workers; 0 => hardware
 };
 

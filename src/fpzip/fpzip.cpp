@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <memory>
 #include <cmath>
 #include <cstring>
 
@@ -12,7 +11,6 @@
 #include "common/error.h"
 #include "common/numeric.h"
 #include "lossless/huffman.h"
-#include "lossless/range_coder.h"
 #include "obs/obs.h"
 
 namespace transpwr {
@@ -20,6 +18,8 @@ namespace fpzip {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x315A5046;  // "FPZ1"
+// Header byte 6 names the class entropy coder; Huffman (0) is the only one.
+constexpr std::uint8_t kHuffmanEntropy = 0;
 
 template <typename T>
 struct Traits;
@@ -207,33 +207,18 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
         recon[idx] = trunc;
       }
 
-  // Pass 2: entropy-code magnitude classes + raw significand bits. With
-  // the range-coder stage, classes go through an adaptive model while the
-  // uniformly distributed significand bits stay in a plain bit stream.
-  std::vector<std::uint8_t> class_payload;
+  // Pass 2: Huffman-code the magnitude classes, each followed by its raw
+  // significand bits.
   BitWriter bw;
-  if (params.entropy == Entropy::kHuffman) {
-    HuffmanCoder huff;
-    huff.build_from(cls, Traits<T>::total_bits + 1);
-    huff.write_table(bw);
-    for (std::size_t i = 0; i < n; ++i) {
-      huff.encode(cls[i], bw);
-      if (cls[i] > 1)
-        bw.write_bits(static_cast<std::uint64_t>(
-                          resid[i] & ((Bits{1} << (cls[i] - 1)) - 1)),
-                      cls[i] - 1);
-    }
-  } else {
-    RangeEncoder enc;
-    AdaptiveModel model(Traits<T>::total_bits + 1);
-    for (std::size_t i = 0; i < n; ++i) {
-      model.encode(enc, cls[i]);
-      if (cls[i] > 1)
-        bw.write_bits(static_cast<std::uint64_t>(
-                          resid[i] & ((Bits{1} << (cls[i] - 1)) - 1)),
-                      cls[i] - 1);
-    }
-    class_payload = enc.finish();
+  HuffmanCoder huff;
+  huff.build_from(cls, Traits<T>::total_bits + 1);
+  huff.write_table(bw);
+  for (std::size_t i = 0; i < n; ++i) {
+    huff.encode(cls[i], bw);
+    if (cls[i] > 1)
+      bw.write_bits(static_cast<std::uint64_t>(
+                        resid[i] & ((Bits{1} << (cls[i] - 1)) - 1)),
+                    cls[i] - 1);
   }
   auto payload = bw.take();
 
@@ -241,11 +226,11 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
   out.put(kMagic);
   out.put(static_cast<std::uint8_t>(data_type_of<T>()));
   out.put(static_cast<std::uint8_t>(dims.nd));
-  out.put(static_cast<std::uint8_t>(params.entropy));
+  out.put(kHuffmanEntropy);
   out.put(params.precision);
   for (int i = 0; i < 3; ++i)
     out.put(static_cast<std::uint64_t>(dims.d[static_cast<std::size_t>(i)]));
-  out.put_sized(class_payload);
+  out.put_sized(std::span<const std::uint8_t>{});  // reserved, always empty
   out.put_sized(payload);
   return out.take();
 }
@@ -260,10 +245,8 @@ std::vector<T> decompress(std::span<const std::uint8_t> stream,
   if (dtype != data_type_of<T>())
     throw StreamError("fpzip: stream data type does not match");
   int nd = in.get<std::uint8_t>();
-  std::uint8_t entropy_byte = in.get<std::uint8_t>();
-  if (entropy_byte > static_cast<std::uint8_t>(Entropy::kRange))
+  if (in.get<std::uint8_t>() != kHuffmanEntropy)
     throw StreamError("fpzip: unknown entropy byte");
-  auto entropy = static_cast<Entropy>(entropy_byte);
   std::uint32_t precision = in.get<std::uint32_t>();
   Dims dims;
   dims.nd = nd;
@@ -276,22 +259,14 @@ std::vector<T> decompress(std::span<const std::uint8_t> stream,
 
   using Bits = typename Traits<T>::Bits;
   Geometry g(dims);
-  auto class_payload = in.get_sized();
+  in.get_sized();  // reserved section, written empty
   auto payload = in.get_sized();
+  // One Huffman-coded class per element, at least a bit each.
+  if (n > payload.size() * 8)
+    throw StreamError("fpzip: dims exceed payload capacity");
   BitReader br(payload);
   HuffmanCoder huff;
-  std::unique_ptr<RangeDecoder> range_dec;
-  std::unique_ptr<AdaptiveModel> range_model;
-  if (entropy == Entropy::kHuffman) {
-    // One Huffman-coded class per element, at least a bit each; the range
-    // coder has no such floor, so only the decode limit bounds that path.
-    if (n > payload.size() * 8)
-      throw StreamError("fpzip: dims exceed payload capacity");
-    huff.read_table(br);
-  } else {
-    range_dec = std::make_unique<RangeDecoder>(class_payload);
-    range_model = std::make_unique<AdaptiveModel>(Traits<T>::total_bits + 1);
-  }
+  huff.read_table(br);
 
   std::vector<T> recon(n);
   const std::size_t nz = dims.nd == 3 ? dims[0] : 1;
@@ -301,9 +276,7 @@ std::vector<T> decompress(std::span<const std::uint8_t> stream,
   for (std::size_t z = 0; z < nz; ++z)
     for (std::size_t y = 0; y < ny; ++y)
       for (std::size_t x = 0; x < nx; ++x, ++idx) {
-        std::uint32_t c = entropy == Entropy::kHuffman
-                              ? huff.decode(br)
-                              : range_model->decode(*range_dec);
+        std::uint32_t c = huff.decode(br);
         // A corrupt Huffman table can hand back symbols past the class
         // alphabet, whose shifts below would exceed the word width.
         if (c > static_cast<std::uint32_t>(Traits<T>::total_bits))

@@ -20,15 +20,10 @@ namespace fpzip {
 /// the monotonic integer mapping of IEEE floats plus magnitude-class entropy
 /// coding. This reproduces FPZIP's signature behaviour in the paper: strict
 /// bounds, exact zeros, but a compression ratio that moves in precision-bit
-/// steps rather than tracking the requested bound.
-/// Entropy stage for the residual magnitude classes: two-pass static
-/// Huffman (fast, default) or the adaptive range coder real FPZIP uses
-/// (single pass, adapts to nonstationary residual statistics).
-enum class Entropy : std::uint8_t { kHuffman = 0, kRange = 1 };
-
+/// steps rather than tracking the requested bound. The residual magnitude
+/// classes are coded with a two-pass static Huffman code.
 struct Params {
   std::uint32_t precision = 19;  ///< bits kept; [9,32] float, [12,64] double
-  Entropy entropy = Entropy::kHuffman;
 };
 
 template <typename T>

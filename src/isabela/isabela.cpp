@@ -22,6 +22,8 @@ namespace {
 constexpr std::uint32_t kMagic = 0x31425349;  // "ISB1"
 constexpr std::uint32_t kRadius = 1u << 15;   // correction code radius
 constexpr std::uint32_t kAlphabet = 2 * kRadius;
+// Header byte 6 names the curve fit; the cubic (1) is the only one.
+constexpr std::uint8_t kCubicFit = 1;
 
 unsigned bits_for(std::size_t n) {
   unsigned b = 0;
@@ -37,13 +39,13 @@ void validate(const Params& p) {
 }
 
 /// Interpolation of the sorted curve from its control points. Control
-/// points sit at sorted positions 0, stride, 2*stride, ..., L-1. The cubic
-/// variant is a clamped Catmull-Rom through the controls, mirroring
-/// ISABELA's B-spline fit; the sorted curve is monotone and smooth, so the
-/// cubic tracks it with much smaller corrections.
+/// points sit at sorted positions 0, stride, 2*stride, ..., L-1. The fit
+/// is a clamped Catmull-Rom through the controls, mirroring ISABELA's
+/// B-spline fit; the sorted curve is monotone and smooth, so the cubic
+/// tracks it with small corrections.
 template <typename T>
 double fit_at(const std::vector<T>& controls, std::uint32_t stride,
-              std::size_t len, std::size_t j, Fit fit) {
+              std::size_t len, std::size_t j) {
   std::size_t seg = j / stride;
   std::size_t lo = seg * stride;
   std::size_t hi = std::min(lo + stride, len - 1);
@@ -51,7 +53,6 @@ double fit_at(const std::vector<T>& controls, std::uint32_t stride,
   if (hi == lo) return p1;
   double p2 = static_cast<double>(controls[seg + 1]);
   double t = static_cast<double>(j - lo) / static_cast<double>(hi - lo);
-  if (fit == Fit::kLinear) return p1 + (p2 - p1) * t;
 
   // Catmull-Rom with clamped end tangents.
   std::size_t nc = controls.size();
@@ -124,8 +125,7 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
     // Quantized per-point corrections against the fitted curve.
     for (std::size_t j = 0; j < len; ++j) {
       double s = static_cast<double>(data[w0 + order[j]]);
-      double fit = fit_at(controls, params.control_every, len, j,
-                          params.fit);
+      double fit = fit_at(controls, params.control_every, len, j);
       double bin = br * std::max(std::abs(fit), tiny);
       double qd = (s - fit) / bin;
       bool ok = false;
@@ -156,7 +156,7 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
   out.put(kMagic);
   out.put(static_cast<std::uint8_t>(data_type_of<T>()));
   out.put(static_cast<std::uint8_t>(dims.nd));
-  out.put(static_cast<std::uint8_t>(params.fit));
+  out.put(kCubicFit);
   out.put(std::uint8_t{0});
   for (int i = 0; i < 3; ++i)
     out.put(static_cast<std::uint64_t>(dims.d[static_cast<std::size_t>(i)]));
@@ -187,10 +187,8 @@ std::vector<T> decompress(std::span<const std::uint8_t> stream,
   if (dtype != data_type_of<T>())
     throw StreamError("isabela: stream data type does not match");
   int nd = in.get<std::uint8_t>();
-  std::uint8_t fit_byte = in.get<std::uint8_t>();
-  if (fit_byte > static_cast<std::uint8_t>(Fit::kCubic))
+  if (in.get<std::uint8_t>() != kCubicFit)
     throw StreamError("isabela: unknown fit byte");
-  auto fit = static_cast<Fit>(fit_byte);
   in.get<std::uint8_t>();
   Dims dims;
   dims.nd = nd;
@@ -264,7 +262,7 @@ std::vector<T> decompress(std::span<const std::uint8_t> stream,
           throw StreamError("isabela: outlier stream exhausted");
         value = outliers[outlier_next++];
       } else {
-        double f = fit_at(controls, control_every, len, j, fit);
+        double f = fit_at(controls, control_every, len, j);
         double bin = br * std::max(std::abs(f), tiny);
         auto q = static_cast<std::int64_t>(code) -
                  static_cast<std::int64_t>(kRadius);

@@ -14,22 +14,17 @@ namespace isabela {
 ///
 /// Per fixed-size window the data is sorted (making it monotone and highly
 /// predictable), the sorted curve is approximated by subsampled control
-/// points with linear interpolation, per-point corrections quantized
+/// points with a Catmull-Rom cubic that mirrors ISABELA's B-spline fit,
+/// per-point corrections quantized
 /// relative to the local curve value enforce the pointwise relative error
 /// bound, and the sort permutation is stored explicitly. The permutation
 /// index (log2(window) bits per point) dominates the output — reproducing
 /// ISABELA's characteristically low compression ratio and rate in the
 /// paper's Figs. 2-3.
-/// Interpolation used between control points on the sorted curve: linear,
-/// or the Catmull-Rom cubic that mirrors ISABELA's B-spline fit (smoother,
-/// so fewer correction bits on smooth sorted curves).
-enum class Fit : std::uint8_t { kLinear = 0, kCubic = 1 };
-
 struct Params {
   double rel_bound = 1e-2;      ///< pointwise relative error bound
   std::uint32_t window = 1024;  ///< sorting window (power of two)
   std::uint32_t control_every = 32;  ///< control-point subsampling stride
-  Fit fit = Fit::kCubic;
 };
 
 template <typename T>

@@ -1,13 +1,11 @@
 #include "lossless/blocked_huffman.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/bitstream.h"
 #include "common/bytestream.h"
 #include "common/decode_guard.h"
-#include "common/env.h"
 #include "common/error.h"
 #include "common/parallel.h"
 #include "lossless/huffman.h"
@@ -25,21 +23,10 @@ std::size_t block_count_for(std::size_t count, std::size_t block) {
 
 }  // namespace
 
-std::size_t entropy_block_symbols() {
-  static const std::size_t cached = [] {
-    if (auto v = env::checked_u64(
-            "TRANSPWR_ENTROPY_BLOCK",
-            {.min = 4096, .max = std::size_t{1} << 24, .clamp = true}))
-      return static_cast<std::size_t>(*v);
-    return std::size_t{1} << 17;
-  }();
-  return cached;
-}
-
 std::vector<std::uint8_t> blocked_encode(std::span<const std::uint32_t> symbols,
                                          std::uint32_t alphabet,
                                          std::size_t threads) {
-  const std::size_t block = entropy_block_symbols();
+  const std::size_t block = kEntropyBlockSymbols;
   const std::size_t nblocks = block_count_for(symbols.size(), block);
 
   HuffmanCoder huff;

@@ -1,6 +1,7 @@
 #ifndef TRANSPWR_LOSSLESS_BLOCKED_HUFFMAN_H
 #define TRANSPWR_LOSSLESS_BLOCKED_HUFFMAN_H
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -12,9 +13,9 @@ namespace lossless {
 /// entropy container behind the SZ / interpolation quantization codes and
 /// the LZ77 token stage.
 ///
-/// The stream is cut into fixed-size symbol blocks (block size derived from
-/// the element count, never the thread count, so the output bytes are
-/// identical for any parallelism), one canonical table is built from
+/// The stream is cut into fixed-size symbol blocks (kEntropyBlockSymbols,
+/// never derived from the thread count, so the output bytes are identical
+/// for any parallelism), one canonical table is built from
 /// per-thread histograms merged exactly, each block is encoded into an
 /// independent byte-aligned substream, and a substream size directory lets
 /// the decoder fan the blocks back out in parallel.
@@ -24,9 +25,9 @@ namespace lossless {
 ///   u32 block count, sized code-length table, u64 substream byte size per
 ///   block, concatenated substreams.
 
-/// Symbols per block: `TRANSPWR_ENTROPY_BLOCK` (env var, clamped to
-/// [4096, 2^24]) when set, else 1 << 17. Read once per process.
-std::size_t entropy_block_symbols();
+/// Symbols per block the encoders write. Decoders read each container's
+/// own block size, so this is a writer constant, not a format limit.
+constexpr std::size_t kEntropyBlockSymbols = std::size_t{1} << 17;
 
 /// Encode `symbols` over alphabet [0, alphabet). `threads == 0` uses
 /// default_threads(); any thread count produces identical bytes.

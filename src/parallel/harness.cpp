@@ -115,16 +115,12 @@ RunResult run(const RunConfig& cfg, const std::vector<Field<float>>& shards) {
           obs::Span sw("harness.write");
           std::size_t total = 0;
           {
-            // The scratch archive is never queried, so its chunks carry
-            // no summaries: computing one would decode every rank's
-            // stream inside the timed write.
             store::ArchiveWriter writer(archive_path);
             for (std::size_t r = 0; r < cfg.ranks; ++r) {
               const Field<float>& s = shards[r % shards.size()];
               writer.add_compressed(rank_dataset(r), DataType::kFloat32,
                                     cfg.scheme, s.dims, cfg.params.bound,
-                                    cfg.params.log_base, streams[r],
-                                    /*with_summary=*/false);
+                                    cfg.params.log_base, streams[r]);
               total += streams[r].size();
             }
             writer.finish();

@@ -569,8 +569,7 @@ void ArchiveWriter::add_dataset(const std::string& name,
 void ArchiveWriter::add_compressed(const std::string& name, DataType dtype,
                                    Scheme scheme, Dims dims, double bound,
                                    double log_base,
-                                   std::span<const std::uint8_t> stream,
-                                   bool with_summary) {
+                                   std::span<const std::uint8_t> stream) {
   require_usable("add_compressed");
   require_no_open_dataset("add_compressed");
   check_new_name(name);
@@ -584,32 +583,6 @@ void ArchiveWriter::add_compressed(const std::string& name, DataType dtype,
   info.dims = dims;
   info.bound = bound;
   info.log_base = log_base;
-  if (with_summary) {
-    // Callers hand us opaque rank streams; one that does not decode (or
-    // decodes to the wrong shape) is still archived verbatim — it just
-    // gets no summary, and queries over it fall back to full scans.
-    try {
-      auto comp = make_compressor(scheme);
-      Dims got;
-      ChunkSummary s;
-      bool ok = false;
-      if (dtype == DataType::kFloat32) {
-        auto rec = comp->decompress_f32(stream, &got);
-        ok = got == dims && rec.size() == dims.count();
-        if (ok) s = summarize_values<float>(std::span<const float>(rec));
-      } else {
-        auto rec = comp->decompress_f64(stream, &got);
-        ok = got == dims && rec.size() == dims.count();
-        if (ok) s = summarize_values<double>(std::span<const double>(rec));
-      }
-      if (ok) {
-        obs::counter_add("archive.summary_chunks");
-        info.summaries.push_back(s);
-      }
-    } catch (const Error&) {
-      // no summary for this dataset
-    }
-  }
   ChunkInfo c;
   c.rows = dims[0];
   c.offset = offset_;

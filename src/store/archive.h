@@ -151,17 +151,14 @@ class ArchiveWriter {
   /// the directory. Throws ParamError if rows are still missing.
   void end_dataset();
 
-  /// Append an already-compressed scheme stream as a single-chunk dataset
-  /// (the N-to-1 harness path: every rank compressed its own shard).
-  /// `bound`/`log_base` are recorded as metadata only. When
-  /// `with_summary` is set the stream is decoded once to compute the
-  /// chunk's summary block; a stream that fails to decode (or whose shape
-  /// disagrees with `dims`) is still appended, just without a summary —
-  /// queries over that dataset fall back to full scans.
+  /// Append an already-compressed scheme stream verbatim as a single-chunk
+  /// dataset (the N-to-1 harness path: every rank compressed its own
+  /// shard). `bound`/`log_base` are recorded as metadata only. The stream
+  /// is not decoded, so the dataset carries no summaries and queries over
+  /// it fall back to full scans.
   void add_compressed(const std::string& name, DataType dtype, Scheme scheme,
                       Dims dims, double bound, double log_base,
-                      std::span<const std::uint8_t> stream,
-                      bool with_summary = true);
+                      std::span<const std::uint8_t> stream);
 
   /// Write the footer, flush, and (file mode) rename into place. The
   /// writer may not be reused afterwards.

@@ -28,10 +28,7 @@ namespace zfp {
 ///   - kPrecision: keep `precision` bit planes per block — ZFP's `-p` mode,
 ///     which the paper evaluates as the pointwise-relative *approximation*
 ///     ZFP_P. It does not strictly bound relative error.
-///   - kRate: exactly `rate` bits per value — ZFP's headline fixed-rate
-///     mode. Every block occupies the same number of bits (random access /
-///     in-situ arrays); no error bound of any kind is guaranteed.
-enum class Mode : std::uint8_t { kAccuracy = 0, kPrecision = 1, kRate = 2 };
+enum class Mode : std::uint8_t { kAccuracy = 0, kPrecision = 1 };
 
 struct Params {
   Mode mode = Mode::kAccuracy;
@@ -41,21 +38,7 @@ struct Params {
   /// machine-precision caveat as ZFP's own fixed-accuracy mode.
   double tolerance = 1e-3;
   std::uint32_t precision = 26;  ///< kPrecision: bit planes kept
-  double rate = 8.0;             ///< kRate: bits per value, [1, 8*sizeof(T)]
 };
-
-/// kRate: exact payload bits one block consumes at the given rate.
-std::size_t block_bits_for_rate(double rate, int nd);
-
-/// Random access into a kRate stream: decode the single 4^d block at block
-/// coordinates (bz, by, bx) without touching the rest of the payload — the
-/// capability fixed-rate mode exists for. Returns the 4^nd block values
-/// (including padding positions of partial blocks). Throws for non-kRate
-/// streams or out-of-range coordinates.
-template <typename T>
-std::vector<T> decode_block_at(std::span<const std::uint8_t> stream,
-                               std::size_t bz, std::size_t by,
-                               std::size_t bx);
 
 template <typename T>
 std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,

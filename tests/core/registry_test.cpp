@@ -136,17 +136,5 @@ TEST(Registry, ZfpPrecisionHeuristicTracksPaperSettings) {
   (void)near;
 }
 
-TEST(Registry, ExplicitPrecisionOverridesHeuristic) {
-  auto f = gen::nyx_dark_matter_density(Dims(8, 8, 8), 3);
-  auto c = make_compressor(Scheme::kZfpP);
-  CompressorParams p;
-  p.bound = 1e-3;
-  p.zfp_precision = 8;
-  auto small = c->compress(f.span(), f.dims, p);
-  p.zfp_precision = 28;
-  auto big = c->compress(f.span(), f.dims, p);
-  EXPECT_LT(small.size(), big.size());
-}
-
 }  // namespace
 }  // namespace transpwr

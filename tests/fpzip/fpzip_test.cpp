@@ -167,40 +167,5 @@ TEST(Fpzip, CorruptStreamThrows) {
   EXPECT_THROW(fpzip::decompress<double>(stream), StreamError);
 }
 
-
-TEST(Fpzip, RangeCoderEntropyStageRoundTrips) {
-  auto f = gen::nyx_dark_matter_density(Dims(20, 20, 20), 9);
-  fpzip::Params ph, pr;
-  ph.precision = pr.precision = 16;
-  ph.entropy = fpzip::Entropy::kHuffman;
-  pr.entropy = fpzip::Entropy::kRange;
-  auto sh = fpzip::compress<float>(f.span(), f.dims, ph);
-  auto sr = fpzip::compress<float>(f.span(), f.dims, pr);
-  // Both stages decode to the identical truncated values.
-  EXPECT_EQ(fpzip::decompress<float>(sh), fpzip::decompress<float>(sr));
-  // Sizes should be in the same ballpark (adaptive vs two-pass static).
-  double rel = static_cast<double>(sr.size()) / static_cast<double>(sh.size());
-  EXPECT_GT(rel, 0.7);
-  EXPECT_LT(rel, 1.3);
-}
-
-TEST(Fpzip, RangeCoderEntropyDouble) {
-  Rng rng(10);
-  std::vector<double> data(4000);
-  double v = 42.0;
-  for (auto& x : data) {
-    v += rng.normal();
-    x = v;
-  }
-  fpzip::Params p;
-  p.precision = 40;
-  p.entropy = fpzip::Entropy::kRange;
-  auto stream = fpzip::compress<double>(data, Dims(data.size()), p);
-  auto out = fpzip::decompress<double>(stream);
-  auto stats = compute_error_stats(std::span<const double>(data),
-                                   std::span<const double>(out));
-  EXPECT_LE(stats.max_rel, fpzip::max_rel_error_for_precision<double>(40));
-}
-
 }  // namespace
 }  // namespace transpwr

@@ -16,7 +16,6 @@
 #include "lossless/huffman.h"
 #include "lossless/lossless.h"
 #include "lossless/lz77.h"
-#include "lossless/range_coder.h"
 #include "lossless/rle.h"
 
 namespace transpwr {
@@ -139,29 +138,6 @@ TEST(LosslessRoundTrip, RleHandlesDegenerateBitmaps) {
   for (std::size_t i = 0; i < noise.size(); ++i)
     if (rng.uniform() < 0.5) noise.set(i);
   roundtrip(noise);
-}
-
-TEST(LosslessRoundTrip, RangeCoderHandlesDegenerateStreams) {
-  auto roundtrip = [](const std::vector<std::uint32_t>& symbols,
-                      std::uint32_t alphabet) {
-    AdaptiveModel enc_model(alphabet);
-    RangeEncoder enc;
-    for (auto s : symbols) enc_model.encode(enc, s);
-    auto bytes = enc.finish();
-
-    AdaptiveModel dec_model(alphabet);
-    RangeDecoder dec(bytes);
-    for (std::size_t i = 0; i < symbols.size(); ++i)
-      ASSERT_EQ(dec_model.decode(dec), symbols[i]) << i;
-  };
-
-  roundtrip({}, 4);                                  // empty
-  roundtrip({0}, 1);                                 // single, 1-symbol
-  roundtrip(std::vector<std::uint32_t>(3000, 5), 16);  // all-identical
-  Rng rng(21);
-  std::vector<std::uint32_t> noise(3000);
-  for (auto& s : noise) s = static_cast<std::uint32_t>(rng.below(256));
-  roundtrip(noise, 256);                             // incompressible
 }
 
 }  // namespace

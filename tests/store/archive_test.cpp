@@ -187,6 +187,7 @@ TEST(Archive, AddCompressedMatchesDirectDecompress) {
   ArchiveReader r(buf);
   EXPECT_EQ(r.read_chunk_bytes("rank_0", 0), stream);
   EXPECT_EQ(r.load<float>("rank_0"), direct);
+  EXPECT_FALSE(r.dataset("rank_0").has_summaries());
 }
 
 TEST(Archive, WriterRejectsBadInput) {

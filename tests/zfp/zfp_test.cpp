@@ -190,132 +190,6 @@ TEST(ZfpErrors, InvalidParamsAndStreams) {
   EXPECT_THROW(zfp::decompress<double>(stream), StreamError);
 }
 
-
-// --- fixed-rate mode (ZFP's headline mode) ---
-
-TEST(ZfpRate, StreamSizeIsExactlyRateTimesValues) {
-  Rng rng(21);
-  Dims dims(32, 32);  // 64 full blocks
-  std::vector<float> data(dims.count());
-  for (auto& v : data) v = static_cast<float>(rng.normal() * 100.0);
-  for (double rate : {4.0, 8.0, 16.0}) {
-    SCOPED_TRACE(rate);
-    zfp::Params p;
-    p.mode = zfp::Mode::kRate;
-    p.rate = rate;
-    auto stream = zfp::compress<float>(data, dims, p);
-    std::size_t blocks = (32 / 4) * (32 / 4);
-    std::size_t payload_bits = blocks * zfp::block_bits_for_rate(rate, 2);
-    auto out = zfp::decompress<float>(stream);
-    ASSERT_EQ(out.size(), data.size());
-    // Container = fixed header + sized payload; payload is exactly the
-    // rate-determined bit count rounded up to bytes.
-    std::size_t expected_payload = (payload_bits + 7) / 8;
-    EXPECT_GE(stream.size(), expected_payload);
-    EXPECT_LE(stream.size(), expected_payload + 64);
-  }
-}
-
-TEST(ZfpRate, HigherRateLowerError) {
-  auto f = gen::hurricane_wind(Dims(8, 24, 24), 22);
-  double prev = std::numeric_limits<double>::infinity();
-  for (double rate : {2.0, 4.0, 8.0, 16.0, 32.0}) {
-    zfp::Params p;
-    p.mode = zfp::Mode::kRate;
-    p.rate = rate;
-    auto stream = zfp::compress<float>(f.span(), f.dims, p);
-    auto out = zfp::decompress<float>(stream);
-    double err = max_abs_err<float>(f.span(), out);
-    EXPECT_LE(err, prev * 1.0001) << rate;
-    prev = err;
-  }
-  EXPECT_LT(prev, 1e-3);  // 32 bits/value on ~70-magnitude data
-}
-
-TEST(ZfpRate, AllZeroBlocksStillFixedSize) {
-  std::vector<float> data(1024, 0.0f);
-  zfp::Params p;
-  p.mode = zfp::Mode::kRate;
-  p.rate = 8.0;
-  auto stream = zfp::compress<float>(data, Dims(1024), p);
-  auto out = zfp::decompress<float>(stream);
-  EXPECT_EQ(out, data);
-  std::size_t payload_bits = (1024 / 4) * zfp::block_bits_for_rate(8.0, 1);
-  EXPECT_GE(stream.size(), payload_bits / 8);
-}
-
-TEST(ZfpRate, PartialBlocksAndDoubles) {
-  Rng rng(23);
-  Dims dims(9, 13, 17);
-  std::vector<double> data(dims.count());
-  for (auto& v : data) v = rng.normal() * 1e6;
-  zfp::Params p;
-  p.mode = zfp::Mode::kRate;
-  p.rate = 24.0;
-  auto stream = zfp::compress<double>(data, dims, p);
-  auto out = zfp::decompress<double>(stream);
-  ASSERT_EQ(out.size(), data.size());
-  EXPECT_LT(max_abs_err<double>(data, out), 1.0);
-}
-
-TEST(ZfpRate, InvalidRateThrows) {
-  std::vector<float> data(16, 1.0f);
-  zfp::Params p;
-  p.mode = zfp::Mode::kRate;
-  p.rate = 0.1;
-  EXPECT_THROW(zfp::compress<float>(data, Dims(16), p), ParamError);
-  p.rate = 100.0;
-  EXPECT_THROW(zfp::compress<float>(data, Dims(16), p), ParamError);
-}
-
-
-TEST(ZfpRate, RandomBlockAccessMatchesFullDecode) {
-  Rng rng(29);
-  Dims dims(16, 20, 24);
-  std::vector<float> data(dims.count());
-  for (auto& v : data) v = static_cast<float>(rng.normal() * 50.0);
-  zfp::Params p;
-  p.mode = zfp::Mode::kRate;
-  p.rate = 16.0;
-  auto stream = zfp::compress<float>(data, dims, p);
-  auto full = zfp::decompress<float>(stream);
-
-  // Every block decoded in isolation must agree bit-exactly with the full
-  // decode at the corresponding positions.
-  for (std::size_t bz = 0; bz < 4; ++bz)
-    for (std::size_t by = 0; by < 5; ++by)
-      for (std::size_t bx = 0; bx < 6; ++bx) {
-        auto block = zfp::decode_block_at<float>(stream, bz, by, bx);
-        ASSERT_EQ(block.size(), 64u);
-        for (std::size_t z = 0; z < 4; ++z)
-          for (std::size_t y = 0; y < 4; ++y)
-            for (std::size_t x = 0; x < 4; ++x) {
-              std::size_t gz = bz * 4 + z, gy = by * 4 + y, gx = bx * 4 + x;
-              if (gz >= 16 || gy >= 20 || gx >= 24) continue;
-              ASSERT_EQ(block[(z * 4 + y) * 4 + x],
-                        full[(gz * 20 + gy) * 24 + gx]);
-            }
-      }
-}
-
-TEST(ZfpRate, RandomAccessRejectsNonRateStreams) {
-  std::vector<float> data(64, 1.0f);
-  zfp::Params p;  // accuracy mode
-  auto stream = zfp::compress<float>(data, Dims(64), p);
-  EXPECT_THROW(zfp::decode_block_at<float>(stream, 0, 0, 0), ParamError);
-}
-
-TEST(ZfpRate, RandomAccessRejectsBadCoordinates) {
-  std::vector<float> data(64, 1.0f);
-  zfp::Params p;
-  p.mode = zfp::Mode::kRate;
-  p.rate = 8.0;
-  auto stream = zfp::compress<float>(data, Dims(64), p);
-  EXPECT_NO_THROW(zfp::decode_block_at<float>(stream, 0, 0, 15));
-  EXPECT_THROW(zfp::decode_block_at<float>(stream, 0, 0, 16), ParamError);
-  EXPECT_THROW(zfp::decode_block_at<float>(stream, 1, 0, 0), ParamError);
-}
-
 // Property sweep: the fixed-accuracy guarantee across tolerances,
 // dimensionalities, and data shapes — the load-bearing invariant for ZFP_T.
 class ZfpToleranceSweep

@@ -89,4 +89,15 @@ cmake --build "$asan" --target test_registry test_cli -j "$jobs"
 "$asan/tests/test_registry"
 "$asan/tests/test_cli"
 
+# Baseline codec smoke under the same sanitizers: each baseline decoder
+# refuses every header mode byte its writer never emits, and the scheme
+# pins check every Scheme's bytes plus those refusals end to end.
+echo "=== tier-1 [asan-ubsan]: baseline codec + scheme pins smoke ==="
+cmake --build "$asan" \
+  --target test_zfp test_fpzip test_isabela test_scheme_pins -j "$jobs"
+"$asan/tests/test_zfp"
+"$asan/tests/test_fpzip"
+"$asan/tests/test_isabela"
+"$asan/tests/test_scheme_pins"
+
 echo "tier-1: all configurations green"
