@@ -297,28 +297,6 @@ Field<float> hurricane_cloud(Dims dims, std::uint64_t seed) {
   return f;
 }
 
-Field<float> evolve(const Field<float>& f, std::uint64_t seed,
-                    double step_fraction) {
-  Field<float> next(f.name, f.dims);
-  FractalNoise noise(seed, 4,
-                     3.0 / static_cast<double>(f.dims[f.dims.nd - 1]));
-  const std::size_t nz = f.dims.nd == 3 ? f.dims[0] : 1;
-  const std::size_t ny = f.dims.nd >= 2 ? f.dims[f.dims.nd - 2] : 1;
-  const std::size_t nx = f.dims[f.dims.nd - 1];
-  std::size_t idx = 0;
-  for (std::size_t z = 0; z < nz; ++z)
-    for (std::size_t y = 0; y < ny; ++y)
-      for (std::size_t x = 0; x < nx; ++x, ++idx) {
-        double g = noise.sample3(static_cast<double>(x),
-                                 static_cast<double>(y),
-                                 static_cast<double>(z));
-        // Multiplicative perturbation keeps zeros zero and signs intact.
-        next.values[idx] = static_cast<float>(
-            static_cast<double>(f.values[idx]) * (1.0 + step_fraction * g));
-      }
-  return next;
-}
-
 namespace {
 
 struct BundleDims {

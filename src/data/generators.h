@@ -69,13 +69,6 @@ Field<float> hurricane_wind(Dims dims, std::uint64_t seed);
 /// range and many exact zeros.
 Field<float> hurricane_cloud(Dims dims, std::uint64_t seed);
 
-/// Produce the "next time step" of a field: a smooth multiplicative
-/// perturbation plus slight drift, preserving zeros and overall structure —
-/// the snapshot-to-snapshot correlation temporal compression exploits.
-/// `step_fraction` ~ relative change per step (e.g. 0.02 = 2%).
-Field<float> evolve(const Field<float>& f, std::uint64_t seed,
-                    double step_fraction = 0.02);
-
 /// Scale knob for the four dataset bundles below.
 enum class Scale { kTiny, kSmall, kMedium };
 

@@ -27,12 +27,15 @@ constexpr std::uint32_t kMagic = 0x31495A53;  // "SZI1"
 constexpr std::uint8_t kCodesLz = 1;
 constexpr std::uint8_t kCodesBlocked = 2;
 
+// Writers always quantize into 65536 intervals and store the count.
+constexpr std::uint32_t kIntervals = 65536;
+
+// Header byte 7 names the interpolation fit; the cubic (1) is the only one.
+constexpr std::uint8_t kCubicFit = 1;
+
 void validate(const Params& p, const Dims& dims) {
   dims.validate();
   if (!(p.bound > 0)) throw ParamError("sz_interp: bound must be positive");
-  if (p.quant_intervals < 4 ||
-      (p.quant_intervals & (p.quant_intervals - 1)))
-    throw ParamError("sz_interp: quant_intervals must be a power of two");
 }
 
 /// Unified 3-axis view: n[0..2] = {nz, ny, nx} with leading 1s for lower
@@ -51,11 +54,12 @@ struct Grid {
 };
 
 /// Interpolate along `axis` at coordinate `c` (which is ≡ s mod 2s) from
-/// reconstructed points at c±s (and ±3s for the cubic).
+/// reconstructed points at c±s and, where the grid has them, ±3s for the
+/// cubic.
 template <typename T>
 double predict_along(const std::vector<T>& recon, const Grid& g, int axis,
                      std::size_t z, std::size_t y, std::size_t x,
-                     std::size_t s, bool cubic) {
+                     std::size_t s) {
   std::size_t coord[3] = {z, y, x};
   const std::size_t c = coord[axis];
   const std::size_t n_axis = g.n[axis];
@@ -67,7 +71,7 @@ double predict_along(const std::vector<T>& recon, const Grid& g, int axis,
   double left = at(c - s);  // c >= s by construction
   if (c + s >= n_axis) return left;
   double right = at(c + s);
-  if (cubic && c >= 3 * s && c + 3 * s < n_axis) {
+  if (c >= 3 * s && c + 3 * s < n_axis) {
     // 4-point cubic through -3, -1, +1, +3 evaluated at 0.
     return (-at(c - 3 * s) + 9.0 * left + 9.0 * right - at(c + 3 * s)) /
            16.0;
@@ -80,8 +84,7 @@ double predict_along(const std::vector<T>& recon, const Grid& g, int axis,
 /// the visitor must store the reconstructed value into `recon` before the
 /// traversal needs it again.
 template <typename T, typename Visit>
-void traverse(const Grid& g, std::vector<T>& recon, bool cubic,
-              Visit&& visit) {
+void traverse(const Grid& g, std::vector<T>& recon, Visit&& visit) {
   // Seed: the origin, predicted as 0.
   visit(g.index(0, 0, 0), 0.0);
 
@@ -104,7 +107,7 @@ void traverse(const Grid& g, std::vector<T>& recon, bool cubic,
           for (std::size_t x = (axis == 2 ? s : 0); x < g.n[2];
                x += (axis == 2 ? 2 * s : step[2])) {
             visit(g.index(z, y, x),
-                  predict_along(recon, g, axis, z, y, x, s, cubic));
+                  predict_along(recon, g, axis, z, y, x, s));
           }
     }
     if (s == 1) break;
@@ -122,7 +125,7 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
   obs::Span compress_span("sz_interp.compress");
 
   Grid g(dims);
-  const std::uint32_t radius = params.quant_intervals / 2;
+  const std::uint32_t radius = kIntervals / 2;
   const double eb = params.bound;
   const double threshold = (static_cast<double>(radius) - 0.5) * 2.0 * eb;
 
@@ -135,7 +138,7 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
   // definition of the accept/outlier arithmetic for both codecs.
   const double two_eb = 2.0 * eb;
   const auto radius_i = static_cast<std::int64_t>(radius);
-  traverse<T>(g, recon, params.cubic, [&](std::size_t idx, double pred) {
+  traverse<T>(g, recon, [&](std::size_t idx, double pred) {
     const auto qs = kernels::quantize_point<T>(data[idx], pred, eb, two_eb,
                                                threshold, radius_i);
     codes.push_back(qs.code);
@@ -143,10 +146,10 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
     if (qs.code == 0) outliers.push_back(data[idx]);
   });
 
-  std::vector<std::uint8_t> coded = lossless::blocked_encode(
-      codes, params.quant_intervals, params.threads);
+  std::vector<std::uint8_t> coded =
+      lossless::blocked_encode(codes, kIntervals, params.threads);
   std::uint8_t codes_format = kCodesBlocked;
-  if (sz_detail::maybe_lz(coded, params.lz_stage, params.threads))
+  if (sz_detail::maybe_lz(coded, params.threads))
     codes_format |= kCodesLz;
 
   ByteWriter out;
@@ -154,11 +157,11 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
   out.put(static_cast<std::uint8_t>(data_type_of<T>()));
   out.put(static_cast<std::uint8_t>(dims.nd));
   out.put(codes_format);
-  out.put(static_cast<std::uint8_t>(params.cubic ? 1 : 0));
+  out.put(kCubicFit);
   for (int i = 0; i < 3; ++i)
     out.put(static_cast<std::uint64_t>(dims.d[static_cast<std::size_t>(i)]));
   out.put(eb);
-  out.put(params.quant_intervals);
+  out.put(kIntervals);
   out.put_sized(coded);
   out.put_sized(lossless::compress(sz_detail::encode_outliers(outliers),
                                    params.threads));
@@ -181,7 +184,8 @@ std::vector<T> decompress(std::span<const std::uint8_t> stream,
     throw StreamError("sz_interp: unknown codes format byte");
   const bool lz_applied = codes_format & kCodesLz;
   const bool blocked = codes_format & kCodesBlocked;
-  bool cubic = in.get<std::uint8_t>() != 0;
+  if (in.get<std::uint8_t>() != kCubicFit)
+    throw StreamError("sz_interp: unknown fit byte");
   Dims dims;
   dims.nd = nd;
   for (int i = 0; i < 3; ++i)
@@ -221,7 +225,7 @@ std::vector<T> decompress(std::span<const std::uint8_t> stream,
   std::vector<T> recon(n);
   std::size_t outlier_next = 0;
   std::size_t code_next = 0;  // codes were appended in traversal order
-  traverse<T>(g, recon, cubic, [&](std::size_t idx, double pred) {
+  traverse<T>(g, recon, [&](std::size_t idx, double pred) {
     std::uint32_t code = blocked ? decoded_codes[code_next++] : huff.decode(br);
     if (code == 0) {
       if (outlier_next >= outliers.size())

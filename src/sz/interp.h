@@ -15,19 +15,17 @@ namespace sz_interp {
 /// Where classic SZ predicts each point from already-decoded raster
 /// neighbors (Lorenzo), this traverses the grid coarse-to-fine: the corner
 /// point seeds the coarsest grid, and each level halves the stride,
-/// predicting the new points by linear or 4-point cubic interpolation
-/// along one dimension at a time from the already-reconstructed coarser
-/// grid. Residuals go through the same linear-scaling quantization +
-/// Huffman (+ gated LZ) stack as SZ, so the absolute error bound is
+/// predicting the new points by 4-point cubic interpolation (midpoint
+/// averaging where the stencil meets the grid edge) along one dimension at
+/// a time from the already-reconstructed coarser grid. Residuals go
+/// through the same 65536-interval linear-scaling quantization + Huffman
+/// (+ gated LZ) stack as SZ, so the absolute error bound is
 /// honored identically. Interpolation sees *two-sided* context, which
 /// beats one-sided Lorenzo on smooth data — the successor design (SZ3)
 /// whose pointwise-relative mode pairs it with exactly the paper's log
 /// transform.
 struct Params {
   double bound = 1e-3;  ///< absolute error bound
-  std::uint32_t quant_intervals = 65536;
-  bool cubic = true;  ///< 4-point cubic where available, else linear
-  bool lz_stage = true;
   /// Worker cap for the block-parallel entropy stage (0 => hardware
   /// default). Output bytes are identical for every value.
   std::size_t threads = 0;
@@ -38,7 +36,8 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
                                    const Params& params);
 
 /// v2 streams decode their entropy blocks in parallel (`threads`); v1
-/// streams from older writers still decode serially.
+/// streams from older writers still decode serially. The stored interval
+/// count is honored; a fit byte other than cubic (1) is refused.
 template <typename T>
 std::vector<T> decompress(std::span<const std::uint8_t> stream,
                           Dims* dims_out = nullptr, std::size_t threads = 0);

@@ -78,8 +78,7 @@ std::vector<T> decode_outliers(std::span<const std::uint8_t> bytes) {
 
 /// Entropy-gated LZ pass over Huffman bytes: only pays off when the coded
 /// stream still carries structure. Returns true if LZ was applied.
-bool maybe_lz(std::vector<std::uint8_t>& coded, bool enabled,
-              std::size_t threads = 0);
+bool maybe_lz(std::vector<std::uint8_t>& coded, std::size_t threads = 0);
 
 }  // namespace sz_detail
 }  // namespace transpwr

@@ -31,6 +31,17 @@ constexpr std::int16_t kAllZeroBlock = std::numeric_limits<std::int16_t>::min();
 constexpr std::uint8_t kCodesLz = 1;
 constexpr std::uint8_t kCodesBlocked = 2;
 
+// Writers always quantize into 65536 intervals and store the count; the
+// decoder honors whatever count a stream carries.
+constexpr std::uint32_t kIntervals = 65536;
+
+// Predictor byte: writers always store Lorenzo. Byte 1, the SZ 2.x-style
+// hybrid of Lorenzo and per-block linear regression, is only decoded, so
+// streams from v1-era writers keep reading.
+constexpr std::uint8_t kPredictorLorenzo = 0;
+constexpr std::uint8_t kPredictorHybrid = 1;
+
+/// PWR-mode block edge per dimensionality.
 std::uint32_t default_block_edge(int nd) {
   switch (nd) {
     case 1:
@@ -45,8 +56,6 @@ std::uint32_t default_block_edge(int nd) {
 void validate(const Params& p, const Dims& dims) {
   dims.validate();
   if (!(p.bound > 0)) throw ParamError("sz: bound must be positive");
-  if (p.quant_intervals < 4 || (p.quant_intervals & (p.quant_intervals - 1)))
-    throw ParamError("sz: quant_intervals must be a power of two >= 4");
 }
 
 /// Geometry shared by the encode and decode passes: strides, and the
@@ -140,20 +149,10 @@ double block_bound(double rel_bound, std::int16_t exp) {
   return std::ldexp(rel_bound, exp);
 }
 
-std::uint32_t default_regression_edge(int nd) {
-  switch (nd) {
-    case 1:
-      return 128;
-    case 2:
-      return 12;
-    default:
-      return 6;
-  }
-}
-
-/// Hybrid-predictor plan (Predictor::kAuto): per regression-grid block, a
-/// choice bit and, for regression blocks, the nd+1 fitted plane
-/// coefficients (intercept, then one slope per axis, x fastest).
+/// Hybrid-predictor plan of a v1-era stream (predictor byte 1): per
+/// regression-grid block, a choice bit and, for regression blocks, the nd+1
+/// fitted plane coefficients f = c0 + c1*x + c2*y + c3*z over block-local
+/// coordinates (intercept, then one slope per axis, x fastest).
 template <typename T>
 struct RegPlan {
   std::vector<std::uint8_t> use_reg;   // 1 per block
@@ -173,7 +172,7 @@ struct RegPlan {
     return p;
   }
 
-  /// Rebuild coeff_off from use_reg (after deserialization).
+  /// Rebuild coeff_off from use_reg.
   void index(int nd) {
     coeff_off.assign(use_reg.size(), SIZE_MAX);
     std::size_t off = 0;
@@ -184,117 +183,6 @@ struct RegPlan {
       }
   }
 };
-
-/// Least-squares plane fit per block plus a sampled cost comparison against
-/// the Lorenzo predictor (both estimated on original values, as SZ 2.x
-/// does). Regression must beat Lorenzo by a margin covering its coefficient
-/// storage cost.
-template <typename T>
-RegPlan<T> build_regression_plan(std::span<const T> data, const Geometry& g) {
-  const int nd = g.dims.nd;
-  const std::size_t nz = nd == 3 ? g.dims[0] : 1;
-  const std::size_t ny = nd >= 2 ? g.dims[nd - 2] : 1;
-  const std::size_t nx = g.dims[nd - 1];
-  const std::size_t nblocks = g.num_blocks();
-
-  struct Acc {
-    double sum_v = 0, sum_vx = 0, sum_vy = 0, sum_vz = 0;
-    double n = 0;
-    double ex = 0, ey = 0, ez = 0;  // block extents (set later)
-  };
-  std::vector<Acc> acc(nblocks);
-
-  // Pass 1: moments for the fit. Local coordinates restart inside each
-  // block; a regular grid makes the axes uncorrelated, so each slope only
-  // needs its own axis moments.
-  std::size_t idx = 0;
-  for (std::size_t z = 0; z < nz; ++z)
-    for (std::size_t y = 0; y < ny; ++y)
-      for (std::size_t x = 0; x < nx; ++x, ++idx) {
-        std::size_t b = g.block_of(z, y, x);
-        double v = static_cast<double>(data[idx]);
-        Acc& a = acc[b];
-        a.sum_v += v;
-        a.sum_vx += v * static_cast<double>(x % g.edge);
-        a.sum_vy += v * static_cast<double>(y % g.edge);
-        a.sum_vz += v * static_cast<double>(z % g.edge);
-        a.n += 1;
-      }
-  // Block extents (edge, clipped at the domain boundary).
-  for (std::size_t bz = 0; bz < g.nbz; ++bz)
-    for (std::size_t by = 0; by < g.nby; ++by)
-      for (std::size_t bx = 0; bx < g.nbx; ++bx) {
-        std::size_t b = (bz * g.nby + by) * g.nbx + bx;
-        acc[b].ex = static_cast<double>(
-            std::min<std::size_t>(g.edge, nx - bx * g.edge));
-        acc[b].ey = nd >= 2 ? static_cast<double>(std::min<std::size_t>(
-                                  g.edge, ny - by * g.edge))
-                            : 1.0;
-        acc[b].ez = nd == 3 ? static_cast<double>(std::min<std::size_t>(
-                                  g.edge, nz - bz * g.edge))
-                            : 1.0;
-      }
-
-  // Closed-form slopes: b1 = cov(v, lx) / var(lx) with
-  // var(lx) = (ex^2 - 1) / 12 per point over a full axis.
-  auto fit = [&](const Acc& a, double coeffs_out[4]) {
-    double mean_x = (a.ex - 1) / 2, mean_y = (a.ey - 1) / 2,
-           mean_z = (a.ez - 1) / 2;
-    double var_x = (a.ex * a.ex - 1) / 12.0;
-    double var_y = (a.ey * a.ey - 1) / 12.0;
-    double var_z = (a.ez * a.ez - 1) / 12.0;
-    double mean_v = a.sum_v / a.n;
-    double b1 = var_x > 0 ? (a.sum_vx / a.n - mean_v * mean_x) / var_x : 0;
-    double b2 = var_y > 0 ? (a.sum_vy / a.n - mean_v * mean_y) / var_y : 0;
-    double b3 = var_z > 0 ? (a.sum_vz / a.n - mean_v * mean_z) / var_z : 0;
-    coeffs_out[0] = mean_v - b1 * mean_x - b2 * mean_y - b3 * mean_z;
-    coeffs_out[1] = b1;
-    coeffs_out[2] = b2;
-    coeffs_out[3] = b3;
-  };
-
-  std::vector<double> fitted(nblocks * 4);
-  for (std::size_t b = 0; b < nblocks; ++b)
-    fit(acc[b], fitted.data() + 4 * b);
-
-  // Pass 2: compare sampled absolute prediction errors. Lorenzo is
-  // estimated on original values (its compression-time accuracy is close
-  // for bounded errors).
-  std::vector<double> err_reg(nblocks, 0), err_lor(nblocks, 0);
-  idx = 0;
-  for (std::size_t z = 0; z < nz; ++z)
-    for (std::size_t y = 0; y < ny; ++y)
-      for (std::size_t x = 0; x < nx; ++x, ++idx) {
-        std::size_t b = g.block_of(z, y, x);
-        double v = static_cast<double>(data[idx]);
-        const double* c = fitted.data() + 4 * b;
-        double rp = c[0] + c[1] * static_cast<double>(x % g.edge) +
-                    c[2] * static_cast<double>(y % g.edge) +
-                    c[3] * static_cast<double>(z % g.edge);
-        err_reg[b] += std::abs(v - rp);
-        err_lor[b] += std::abs(v - lorenzo_predict(data.data(), g, z, y, x,
-                                                   idx));
-      }
-
-  RegPlan<T> plan;
-  plan.use_reg.resize(nblocks);
-  // In-sample regression error flatters the fit, and regression pays for
-  // its stored coefficients, so require a decisive win over Lorenzo.
-  for (std::size_t b = 0; b < nblocks; ++b)
-    plan.use_reg[b] =
-        std::isfinite(err_reg[b]) && err_reg[b] < 0.5 * err_lor[b] ? 1 : 0;
-  plan.coeff_off.assign(nblocks, SIZE_MAX);
-  for (std::size_t b = 0; b < nblocks; ++b) {
-    if (!plan.use_reg[b]) continue;
-    plan.coeff_off[b] = plan.coeffs.size();
-    const double* c = fitted.data() + 4 * b;
-    plan.coeffs.push_back(static_cast<T>(c[0]));
-    plan.coeffs.push_back(static_cast<T>(c[1]));
-    if (nd >= 2) plan.coeffs.push_back(static_cast<T>(c[2]));
-    if (nd == 3) plan.coeffs.push_back(static_cast<T>(c[3]));
-  }
-  return plan;
-}
 
 /// Interior rows advanced together by the 3-D wavefront sweep. Four lanes
 /// cover the quantizer's div+round+narrow latency chain on current cores;
@@ -489,26 +377,21 @@ std::size_t decode_sweep_tiled(const std::uint32_t* codes, const Geometry& g,
 
 template <typename T>
 std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
-                                   const Params& params) {
-  validate(params, dims);
+                                   const Params& p) {
+  validate(p, dims);
   if (data.size() != dims.count())
     throw ParamError("sz: data size does not match dims");
   obs::Span compress_span("sz.compress");
 
-  Params p = params;
-  if (p.mode == Mode::kPwrBlock && p.block_edge == 0)
-    p.block_edge = default_block_edge(dims.nd);
-  Geometry g(dims, p.mode == Mode::kPwrBlock ? p.block_edge : 1);
+  const bool pwr = p.mode == Mode::kPwrBlock;
+  // kAbs streams store block edge 0: the mode has no blocks.
+  const std::uint32_t block_edge = pwr ? default_block_edge(dims.nd) : 0;
+  Geometry g(dims, pwr ? block_edge : 1);
 
   std::vector<std::int16_t> exps;
-  if (p.mode == Mode::kPwrBlock) exps = block_exponents<T>(data, g);
+  if (pwr) exps = block_exponents<T>(data, g);
 
-  const bool hybrid = p.predictor == Predictor::kAuto;
-  Geometry rg(dims, hybrid ? default_regression_edge(dims.nd) : 1);
-  RegPlan<T> reg;
-  if (hybrid) reg = build_regression_plan<T>(data, rg);
-
-  const std::uint32_t radius = p.quant_intervals / 2;
+  const std::uint32_t radius = kIntervals / 2;
   std::vector<std::uint32_t> codes(data.size());
   std::vector<T> outliers;
   std::vector<T> recon(data.size());
@@ -518,49 +401,44 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
   const std::size_t nx = dims[dims.nd - 1];
 
   {
-  obs::Span predict_span("predict");
-  if (!hybrid && kernels::active() == kernels::Dispatch::kNative) {
-    encode_sweep_tiled<T>(data, g, p.mode, p.bound, exps, radius,
-                          codes.data(), recon.data());
-    // The sweep only marks outliers; gather their values in the same raster
-    // order the per-point path pushes them.
-    for (std::size_t i = 0; i < codes.size(); ++i)
-      if (codes[i] == 0) outliers.push_back(data[i]);
-  } else {
-  std::size_t idx = 0;
-  for (std::size_t z = 0; z < nz; ++z)
-    for (std::size_t y = 0; y < ny; ++y)
-      for (std::size_t x = 0; x < nx; ++x, ++idx) {
-        const double eb = p.mode == Mode::kPwrBlock
-                              ? block_bound(p.bound, exps[g.block_of(z, y, x)])
-                              : p.bound;
-        double pred;
-        std::size_t rb = 0;
-        if (hybrid && (rb = rg.block_of(z, y, x), reg.regression_for(rb)))
-          pred = reg.predict(rb, dims.nd, z % rg.edge, y % rg.edge,
-                             x % rg.edge);
-        else
-          pred = lorenzo_predict(recon.data(), g, z, y, x, idx);
-        const auto qs = kernels::quantize_point<T>(
-            data[idx], pred, eb, 2.0 * eb,
-            (static_cast<double>(radius) - 0.5) * 2.0 * eb,
-            static_cast<std::int64_t>(radius));
-        codes[idx] = qs.code;
-        recon[idx] = qs.recon;
-        if (qs.code == 0) outliers.push_back(data[idx]);
-      }
-  }
+    obs::Span predict_span("predict");
+    if (kernels::active() == kernels::Dispatch::kNative) {
+      encode_sweep_tiled<T>(data, g, p.mode, p.bound, exps, radius,
+                            codes.data(), recon.data());
+      // The sweep only marks outliers; gather their values in the same
+      // raster order the per-point path pushes them.
+      for (std::size_t i = 0; i < codes.size(); ++i)
+        if (codes[i] == 0) outliers.push_back(data[i]);
+    } else {
+      std::size_t idx = 0;
+      for (std::size_t z = 0; z < nz; ++z)
+        for (std::size_t y = 0; y < ny; ++y)
+          for (std::size_t x = 0; x < nx; ++x, ++idx) {
+            const double eb =
+                pwr ? block_bound(p.bound, exps[g.block_of(z, y, x)])
+                    : p.bound;
+            const double pred =
+                lorenzo_predict(recon.data(), g, z, y, x, idx);
+            const auto qs = kernels::quantize_point<T>(
+                data[idx], pred, eb, 2.0 * eb,
+                (static_cast<double>(radius) - 0.5) * 2.0 * eb,
+                static_cast<std::int64_t>(radius));
+            codes[idx] = qs.code;
+            recon[idx] = qs.recon;
+            if (qs.code == 0) outliers.push_back(data[idx]);
+          }
+    }
   }
   obs::counter_add("sz.outliers", outliers.size());
 
   // Entropy stage: block-parallel Huffman over the quantization codes (the
-  // v2 container), then optionally LZ over the coded bytes.
+  // v2 container), then the entropy-gated LZ over the coded bytes.
   std::vector<std::uint8_t> coded;
   std::uint8_t codes_format = kCodesBlocked;
   {
     obs::Span entropy_span("entropy_encode");
-    coded = lossless::blocked_encode(codes, p.quant_intervals, p.threads);
-    if (sz_detail::maybe_lz(coded, p.lz_stage, p.threads))
+    coded = lossless::blocked_encode(codes, kIntervals, p.threads);
+    if (sz_detail::maybe_lz(coded, p.threads))
       codes_format |= kCodesLz;
   }
 
@@ -570,23 +448,14 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
   out.put(static_cast<std::uint8_t>(dims.nd));
   out.put(static_cast<std::uint8_t>(p.mode));
   out.put(codes_format);
-  out.put(static_cast<std::uint8_t>(p.predictor));
+  out.put(kPredictorLorenzo);
   for (int i = 0; i < 3; ++i)
     out.put(static_cast<std::uint64_t>(dims.d[static_cast<std::size_t>(i)]));
   out.put(p.bound);
-  out.put(p.quant_intervals);
-  out.put(p.block_edge);
+  out.put(kIntervals);
+  out.put(block_edge);
 
-  if (hybrid) {
-    out.put(static_cast<std::uint32_t>(rg.edge));
-    out.put_sized(lossless::compress(reg.use_reg, p.threads));
-    out.put_sized(lossless::compress(
-        {reinterpret_cast<const std::uint8_t*>(reg.coeffs.data()),
-         reg.coeffs.size() * sizeof(T)},
-        p.threads));
-  }
-
-  if (p.mode == Mode::kPwrBlock) {
+  if (pwr) {
     auto exp_bytes = lossless::compress(
         {reinterpret_cast<const std::uint8_t*>(exps.data()),
          exps.size() * sizeof(std::int16_t)},
@@ -620,9 +489,8 @@ std::vector<T> decompress(std::span<const std::uint8_t> stream,
   const bool lz_applied = codes_format & kCodesLz;
   const bool blocked = codes_format & kCodesBlocked;
   std::uint8_t pred_byte = in.get<std::uint8_t>();
-  if (pred_byte > static_cast<std::uint8_t>(Predictor::kAuto))
+  if (pred_byte != kPredictorLorenzo && pred_byte != kPredictorHybrid)
     throw StreamError("sz: unknown predictor byte");
-  auto predictor = static_cast<Predictor>(pred_byte);
   Dims dims;
   dims.nd = nd;
   for (int i = 0; i < 3; ++i)
@@ -639,7 +507,7 @@ std::vector<T> decompress(std::span<const std::uint8_t> stream,
 
   Geometry g(dims, mode == Mode::kPwrBlock ? block_edge : 1);
 
-  const bool hybrid = predictor == Predictor::kAuto;
+  const bool hybrid = pred_byte == kPredictorHybrid;
   std::uint32_t reg_edge = 1;
   RegPlan<T> reg;
   if (hybrid) {
@@ -760,9 +628,8 @@ template std::vector<double> decompress<double>(std::span<const std::uint8_t>,
 
 namespace sz_detail {
 
-bool maybe_lz(std::vector<std::uint8_t>& coded, bool enabled,
-              std::size_t threads) {
-  if (!enabled || coded.size() <= 64) return false;
+bool maybe_lz(std::vector<std::uint8_t>& coded, std::size_t threads) {
+  if (coded.size() <= 64) return false;
   std::uint32_t hist[256] = {};
   const std::size_t step = std::max<std::size_t>(1, coded.size() / 8192);
   std::size_t samples = 0;

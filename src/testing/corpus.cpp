@@ -100,11 +100,15 @@ std::vector<CorpusCase> build_cases() {
     patch(s, 45, {0, 0, 0, 0});
     cases.push_back({"sz_pwr_zero_block_edge", std::move(s)});
   }
-  {  // sz_interp header: dims at 8.
+  {  // sz_interp header: fit byte at 7, dims at 8.
     sz_interp::Params p;
     auto s = sz_interp::compress<float>(field, d1, p);
-    patch_u64(s, 8, ~std::uint64_t{0});
-    cases.push_back({"szinterp_dims_overflow", std::move(s)});
+    auto linear_fit = s;
+    patch(linear_fit, 7, {0});  // the retired linear fit
+    cases.push_back({"szinterp_linear_fit_byte", std::move(linear_fit)});
+    auto bad_dims = s;
+    patch_u64(bad_dims, 8, ~std::uint64_t{0});
+    cases.push_back({"szinterp_dims_overflow", std::move(bad_dims)});
   }
   {  // zfp header: mode byte at 6, tolerance double at 32.
     zfp::Params p;

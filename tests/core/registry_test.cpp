@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "data/generators.h"
@@ -122,18 +125,29 @@ TEST(Registry, StreamsAreSelfDescribing) {
 TEST(Registry, ZfpPrecisionHeuristicTracksPaperSettings) {
   // The heuristic should land in the neighbourhood of the paper's
   // hand-tuned -p values for NYX dmd: 26 @ 1e-3, 23 @ 1e-2, 19 @ 1e-1.
-  CompressorParams p;
+  // The ZFP_P stream stores the precision it ran at as a u32 at header
+  // offset 40: magic(4) dtype(1) nd(1) mode(1) reserved(1) dims(3 x u64)
+  // tolerance(f64).
   auto near = [](std::uint32_t a, std::uint32_t b) {
     return a >= b - 2 && a <= b + 2;
   };
-  p.bound = 1e-3;
   auto c = make_compressor(Scheme::kZfpP);
   auto f = gen::nyx_dark_matter_density(Dims(8, 8, 8), 2);
-  auto s1 = c->compress(f.span(), f.dims, p);
-  p.bound = 1e-1;
-  auto s2 = c->compress(f.span(), f.dims, p);
-  EXPECT_GT(s1.size(), s2.size());  // tighter bound => more planes
-  (void)near;
+  std::vector<std::size_t> sizes;
+  for (auto [bound, paper] : {std::pair{1e-3, 26u}, std::pair{1e-2, 23u},
+                              std::pair{1e-1, 19u}}) {
+    SCOPED_TRACE(bound);
+    CompressorParams p;
+    p.bound = bound;
+    auto stream = c->compress(f.span(), f.dims, p);
+    ASSERT_GE(stream.size(), 44u);
+    std::uint32_t precision = 0;
+    std::memcpy(&precision, stream.data() + 40, sizeof(precision));
+    EXPECT_TRUE(near(precision, paper))
+        << "precision " << precision << " vs paper " << paper;
+    sizes.push_back(stream.size());
+  }
+  EXPECT_GT(sizes.front(), sizes.back());  // tighter bound => more planes
 }
 
 }  // namespace

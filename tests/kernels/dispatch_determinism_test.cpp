@@ -103,21 +103,6 @@ TEST(DispatchDeterminism, SzPwrBlock2D) {
       });
 }
 
-TEST(DispatchDeterminism, SzAutoPredictor3D) {
-  auto data = adversarial_field(14 * 12 * 10, 333);
-  Dims dims(14, 12, 10);
-  sz::Params p;
-  p.mode = sz::Mode::kAbs;
-  p.predictor = sz::Predictor::kAuto;
-  p.bound = 1e-3;
-  p.threads = 1;
-  expect_dispatch_invariant(
-      [&] { return sz::compress<float>(data, dims, p); },
-      [&](const std::vector<std::uint8_t>& s) {
-        return sz::decompress<float>(s, nullptr, 1);
-      });
-}
-
 TEST(DispatchDeterminism, SzAbs1DDouble) {
   auto dataf = adversarial_field(3001, 444);
   std::vector<double> data(dataf.begin(), dataf.end());

@@ -79,19 +79,6 @@ TEST(SzInterp, BeatsLorenzoOnSmoothData) {
                             1e-5);
 }
 
-TEST(SzInterp, CubicToggleBothBounded) {
-  auto f = gen::nyx_dark_matter_density(Dims(24, 24, 24), 3);
-  for (bool cubic : {false, true}) {
-    SCOPED_TRACE(cubic);
-    sz_interp::Params p;
-    p.bound = 1e-3;
-    p.cubic = cubic;
-    auto stream = sz_interp::compress<float>(f.span(), f.dims, p);
-    auto out = sz_interp::decompress<float>(stream);
-    expect_abs_bounded<float>(f.span(), out, p.bound);
-  }
-}
-
 TEST(SzInterp, SpikyDataFallsBackToOutliers) {
   Rng rng(4);
   std::vector<float> data(2000);
@@ -138,9 +125,6 @@ TEST(SzInterp, InvalidParamsAndStreams) {
   sz_interp::Params p;
   p.bound = 0;
   EXPECT_THROW(sz_interp::compress<float>(data, Dims(16), p), ParamError);
-  p.bound = 1e-3;
-  p.quant_intervals = 100;
-  EXPECT_THROW(sz_interp::compress<float>(data, Dims(16), p), ParamError);
 
   sz_interp::Params ok;
   auto stream = sz_interp::compress<float>(data, Dims(16), ok);
@@ -148,6 +132,24 @@ TEST(SzInterp, InvalidParamsAndStreams) {
   bad[0] ^= 0xff;
   EXPECT_THROW(sz_interp::decompress<float>(bad), StreamError);
   EXPECT_THROW(sz_interp::decompress<double>(stream), StreamError);
+}
+
+TEST(SzInterp, LinearFitByteIsRefused) {
+  // Header: magic(4) dtype(1) nd(1) codes format(1), then the fit byte.
+  // Writers only ever store 1 (cubic); the retired linear fit (0) and any
+  // unknown value are refused.
+  std::vector<float> data(64);
+  for (std::size_t i = 0; i < data.size(); ++i)
+    data[i] = static_cast<float>(std::sin(0.1 * static_cast<double>(i)));
+  sz_interp::Params p;
+  auto stream = sz_interp::compress<float>(data, Dims(data.size()), p);
+  ASSERT_EQ(stream[7], 1);
+  for (std::uint8_t fit : {0, 2, 0xff}) {
+    SCOPED_TRACE(static_cast<int>(fit));
+    auto bad = stream;
+    bad[7] = fit;
+    EXPECT_THROW(sz_interp::decompress<float>(bad), StreamError);
+  }
 }
 
 class SzInterpSweep

@@ -95,32 +95,6 @@ TEST(SzAbs, DoubleTypeRoundTrip) {
   expect_abs_bounded<double>(data, out, p.bound);
 }
 
-TEST(SzAbs, QuantIntervalVariants) {
-  auto f = gen::cesm_cloud_fraction(Dims(64, 64), 5);
-  for (std::uint32_t intervals : {16u, 256u, 4096u, 65536u}) {
-    SCOPED_TRACE(intervals);
-    sz::Params p;
-    p.bound = 1e-3;
-    p.quant_intervals = intervals;
-    auto stream = sz::compress<float>(f.span(), f.dims, p);
-    auto out = sz::decompress<float>(stream);
-    expect_abs_bounded<float>(f.span(), out, p.bound);
-  }
-}
-
-TEST(SzAbs, LzStageToggleBothDecode) {
-  auto f = gen::cesm_cloud_fraction(Dims(64, 64), 6);
-  sz::Params p;
-  p.bound = 1e-3;
-  p.lz_stage = false;
-  auto s1 = sz::compress<float>(f.span(), f.dims, p);
-  p.lz_stage = true;
-  auto s2 = sz::compress<float>(f.span(), f.dims, p);
-  EXPECT_LE(s2.size(), s1.size());
-  expect_abs_bounded<float>(f.span(), sz::decompress<float>(s1), p.bound);
-  expect_abs_bounded<float>(f.span(), sz::decompress<float>(s2), p.bound);
-}
-
 TEST(SzAbs, TinyInputs) {
   for (std::size_t n : {1u, 2u, 3u, 5u}) {
     std::vector<float> data(n, 1.25f);
@@ -165,21 +139,6 @@ TEST(SzPwr, WideDynamicRangeStaysBounded) {
   EXPECT_LE(stats.max_rel, p.bound * (1 + 1e-12));
 }
 
-TEST(SzPwr, BlockEdgeVariants) {
-  auto f = gen::nyx_dark_matter_density(Dims(16, 16, 16), 9);
-  for (std::uint32_t edge : {4u, 8u, 16u}) {
-    SCOPED_TRACE(edge);
-    sz::Params p;
-    p.mode = sz::Mode::kPwrBlock;
-    p.bound = 1e-2;
-    p.block_edge = edge;
-    auto stream = sz::compress<float>(f.span(), f.dims, p);
-    auto out = sz::decompress<float>(stream);
-    auto stats = compute_error_stats(f.span(), std::span<const float>(out));
-    EXPECT_LE(stats.max_rel, p.bound * (1 + 1e-12));
-  }
-}
-
 TEST(SzPwr, AllZeroFieldRoundTripsExactly) {
   std::vector<float> data(2048, 0.0f);
   sz::Params p;
@@ -206,11 +165,6 @@ TEST(SzErrors, InvalidParams) {
   sz::Params p;
   p.bound = 0.0;
   EXPECT_THROW(sz::compress<float>(data, Dims(10), p), ParamError);
-  p.bound = 1e-3;
-  p.quant_intervals = 100;  // not a power of two
-  EXPECT_THROW(sz::compress<float>(data, Dims(10), p), ParamError);
-  p.quant_intervals = 2;  // too small
-  EXPECT_THROW(sz::compress<float>(data, Dims(10), p), ParamError);
 }
 
 TEST(SzErrors, SizeMismatchThrows) {
@@ -235,8 +189,6 @@ TEST(SzErrors, CorruptStreamsThrow) {
   EXPECT_THROW(sz::decompress<float>(cut), StreamError);
 }
 
-
-
 TEST(SzOutliers, CorrelatedOutliersCompressBelowVerbatim) {
   // All-outlier data (tiny bound, smooth drift): the XOR leading-byte
   // coding should store well under 4 bytes per value.
@@ -245,7 +197,6 @@ TEST(SzOutliers, CorrelatedOutliersCompressBelowVerbatim) {
     data[i] = 1000.0f + 0.125f * static_cast<float>(i % 37);
   sz::Params p;
   p.bound = 1e-30;  // everything predictable fails the bound check
-  p.quant_intervals = 4;
   auto stream = sz::compress<float>(data, Dims(data.size()), p);
   auto out = sz::decompress<float>(stream);
   EXPECT_EQ(out, data);  // outliers are exact
@@ -262,98 +213,6 @@ TEST(SzOutliers, UncorrelatedOutliersStillExact) {
   p.bound = 1e-35;
   auto stream = sz::compress<float>(data, Dims(data.size()), p);
   EXPECT_EQ(sz::decompress<float>(stream), data);
-}
-
-// --- SZ 2.x-style hybrid predictor (Predictor::kAuto) ---
-
-TEST(SzHybrid, BoundStillRespected) {
-  auto f = gen::hurricane_wind(Dims(16, 32, 32), 31);
-  sz::Params p;
-  p.bound = 0.05;
-  p.predictor = sz::Predictor::kAuto;
-  auto stream = sz::compress<float>(f.span(), f.dims, p);
-  auto out = sz::decompress<float>(stream);
-  expect_abs_bounded<float>(f.span(), out, p.bound);
-}
-
-TEST(SzHybrid, RegressionWinsOnPlanarData) {
-  // Perfect plane: regression predicts exactly; the stream should be much
-  // smaller than with the pure Lorenzo predictor under a tight bound.
-  Dims dims(48, 48);
-  std::vector<float> data(dims.count());
-  for (std::size_t y = 0; y < 48; ++y)
-    for (std::size_t x = 0; x < 48; ++x)
-      data[y * 48 + x] = 3.0f + 0.25f * static_cast<float>(x) -
-                         0.125f * static_cast<float>(y);
-  sz::Params p;
-  p.bound = 1e-6;
-  auto lorenzo_stream = sz::compress<float>(data, dims, p);
-  p.predictor = sz::Predictor::kAuto;
-  auto hybrid_stream = sz::compress<float>(data, dims, p);
-  EXPECT_LE(hybrid_stream.size(), lorenzo_stream.size() + 64);
-  auto out = sz::decompress<float>(hybrid_stream);
-  expect_abs_bounded<float>(data, out, p.bound);
-}
-
-TEST(SzHybrid, NoisyDataFallsBackToLorenzo) {
-  // On rough data the plan should keep (mostly) Lorenzo and never hurt
-  // correctness.
-  Rng rng(33);
-  std::vector<float> data(4096);
-  for (auto& v : data) v = static_cast<float>(rng.normal());
-  sz::Params p;
-  p.bound = 0.01;
-  p.predictor = sz::Predictor::kAuto;
-  auto stream = sz::compress<float>(data, Dims(4096), p);
-  auto out = sz::decompress<float>(stream);
-  expect_abs_bounded<float>(data, out, p.bound);
-}
-
-TEST(SzHybrid, WorksInPwrModeToo) {
-  auto f = gen::nyx_dark_matter_density(Dims(20, 20, 20), 35);
-  sz::Params p;
-  p.mode = sz::Mode::kPwrBlock;
-  p.bound = 1e-2;
-  p.predictor = sz::Predictor::kAuto;
-  auto stream = sz::compress<float>(f.span(), f.dims, p);
-  auto out = sz::decompress<float>(stream);
-  auto stats = compute_error_stats(f.span(), std::span<const float>(out));
-  EXPECT_LE(stats.max_rel, p.bound * (1 + 1e-12));
-}
-
-TEST(SzHybrid, AllDimensionalities) {
-  Rng rng(37);
-  for (Dims dims : {Dims(700), Dims(30, 25), Dims(9, 11, 13)}) {
-    SCOPED_TRACE(dims.to_string());
-    std::vector<float> data(dims.count());
-    double v = 0;
-    for (auto& x : data) {
-      v += 0.3 + 0.05 * rng.normal();
-      x = static_cast<float>(v);
-    }
-    sz::Params p;
-    p.bound = 0.01;
-    p.predictor = sz::Predictor::kAuto;
-    auto stream = sz::compress<float>(data, dims, p);
-    auto out = sz::decompress<float>(stream);
-    expect_abs_bounded<float>(data, out, p.bound);
-  }
-}
-
-TEST(SzHybrid, DoubleType) {
-  Dims dims(24, 24, 24);
-  std::vector<double> data(dims.count());
-  std::size_t i = 0;
-  for (std::size_t z = 0; z < 24; ++z)
-    for (std::size_t y = 0; y < 24; ++y)
-      for (std::size_t x = 0; x < 24; ++x, ++i)
-        data[i] = 1e3 + 2.0 * x - 0.5 * y + 0.25 * z;
-  sz::Params p;
-  p.bound = 1e-9;
-  p.predictor = sz::Predictor::kAuto;
-  auto stream = sz::compress<double>(data, dims, p);
-  auto out = sz::decompress<double>(stream);
-  expect_abs_bounded<double>(data, out, p.bound);
 }
 
 // Property sweep: bound x dimensionality on realistic fields.

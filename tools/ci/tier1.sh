@@ -24,8 +24,10 @@ run_config() {
 # Both dispatch build flavors: the portable baseline every artifact ships
 # as, and the host-tuned build the native kernels are written for. The
 # kernels ctest label inside each run pins generic-vs-native bit identity.
-run_config baseline
-run_config native -DTRANSPWR_NATIVE=ON
+# Both build with -Werror: the tree compiles warning-free under
+# -Wall -Wextra, and a new warning fails tier-1 instead of piling up.
+run_config baseline -DCMAKE_CXX_FLAGS=-Werror
+run_config native -DTRANSPWR_NATIVE=ON -DCMAKE_CXX_FLAGS=-Werror
 
 # ASan+UBSan fuzz soak against the native kernels: every decoder fed
 # mutated streams with the fast paths (pair-table Huffman, tiled Lorenzo,
@@ -89,15 +91,21 @@ cmake --build "$asan" --target test_registry test_cli -j "$jobs"
 "$asan/tests/test_registry"
 "$asan/tests/test_cli"
 
-# Baseline codec smoke under the same sanitizers: each baseline decoder
-# refuses every header mode byte its writer never emits, and the scheme
-# pins check every Scheme's bytes plus those refusals end to end.
+# Baseline codec smoke under the same sanitizers: each codec decoder
+# refuses every header mode byte its writer never emits (including the
+# SZ-interp linear fit byte), the v1 goldens decode the kept compat paths
+# (the SZ hybrid predictor among them), and the scheme pins check every
+# Scheme's bytes plus those refusals end to end.
 echo "=== tier-1 [asan-ubsan]: baseline codec + scheme pins smoke ==="
 cmake --build "$asan" \
-  --target test_zfp test_fpzip test_isabela test_scheme_pins -j "$jobs"
+  --target test_zfp test_fpzip test_isabela test_sz test_sz_interp \
+  test_golden_v1 test_scheme_pins -j "$jobs"
 "$asan/tests/test_zfp"
 "$asan/tests/test_fpzip"
 "$asan/tests/test_isabela"
+"$asan/tests/test_sz"
+"$asan/tests/test_sz_interp"
+"$asan/tests/test_golden_v1"
 "$asan/tests/test_scheme_pins"
 
 echo "tier-1: all configurations green"
