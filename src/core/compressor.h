@@ -39,6 +39,12 @@ struct CompressorParams {
 /// call dispatches on the held scheme, roots a "compress.<NAME>" or
 /// "decompress.<NAME>" span, and compress feeds the codec.bytes_in/out
 /// counters.
+///
+/// compress() optionally hands back its `reconstruction`: exactly what
+/// decompress_f32/f64 of the returned stream would give, bit for bit. The
+/// SZ family (SZ_ABS, SZ_PWR, SZ_T, SZI_T) takes it from the encoder's own
+/// reconstruction, with no decode; ZFP_P, ZFP_T, FPZIP and ISABELA decode
+/// the stream they just wrote. The stream bytes are the same either way.
 class Compressor {
  public:
   /// Throws ParamError for a value outside the Scheme enumerators.
@@ -46,10 +52,12 @@ class Compressor {
   Scheme scheme() const { return scheme_; }
   std::string name() const { return scheme_name(scheme_); }
 
-  std::vector<std::uint8_t> compress(std::span<const float> data, Dims dims,
-                                     const CompressorParams& p);
-  std::vector<std::uint8_t> compress(std::span<const double> data, Dims dims,
-                                     const CompressorParams& p);
+  std::vector<std::uint8_t> compress(
+      std::span<const float> data, Dims dims, const CompressorParams& p,
+      std::vector<float>* reconstruction = nullptr);
+  std::vector<std::uint8_t> compress(
+      std::span<const double> data, Dims dims, const CompressorParams& p,
+      std::vector<double>* reconstruction = nullptr);
   std::vector<float> decompress_f32(std::span<const std::uint8_t> stream,
                                     Dims* dims = nullptr);
   std::vector<double> decompress_f64(std::span<const std::uint8_t> stream,

@@ -223,12 +223,13 @@ TransformResult<T> log_forward(std::span<const T> data, double rel_bound,
 }
 
 template <typename T>
-std::vector<T> log_inverse(std::span<const T> mapped, const Bitmap& negative,
-                           double base, double zero_threshold,
-                           std::size_t threads, LogExpPath path) {
+void log_inverse_into(std::span<const T> mapped, const Bitmap& negative,
+                      double base, double zero_threshold, std::span<T> out,
+                      std::size_t threads, LogExpPath path) {
   if (!negative.empty() && negative.size() != mapped.size())
     throw ParamError("log inverse: sign bitmap size mismatch");
-  std::vector<T> out(mapped.size());
+  if (out.size() != mapped.size())
+    throw ParamError("log inverse: output size mismatch");
   const LogKernel kernel(base);
   const bool has_signs = !negative.empty();
   // kAuto mirrors the writer side: fast kernel for float, libm for double.
@@ -242,6 +243,8 @@ std::vector<T> log_inverse(std::span<const T> mapped, const Bitmap& negative,
   ParallelOptions opts;
   opts.max_threads = threads;
   opts.grain = kGrain;
+  // Each tile is read whole into tile_in before any of its outputs is
+  // written, so `out` may alias `mapped`.
   parallel_for(
       mapped.size(),
       [&](std::size_t b, std::size_t e) {
@@ -271,6 +274,15 @@ std::vector<T> log_inverse(std::span<const T> mapped, const Bitmap& negative,
         }
       },
       opts);
+}
+
+template <typename T>
+std::vector<T> log_inverse(std::span<const T> mapped, const Bitmap& negative,
+                           double base, double zero_threshold,
+                           std::size_t threads, LogExpPath path) {
+  std::vector<T> out(mapped.size());
+  log_inverse_into<T>(mapped, negative, base, zero_threshold, out, threads,
+                      path);
   return out;
 }
 
@@ -282,6 +294,13 @@ template TransformResult<float> log_forward<float>(std::span<const float>,
 template TransformResult<double> log_forward<double>(std::span<const double>,
                                                      double, double,
                                                      std::size_t);
+template void log_inverse_into<float>(std::span<const float>, const Bitmap&,
+                                      double, double, std::span<float>,
+                                      std::size_t, LogExpPath);
+template void log_inverse_into<double>(std::span<const double>,
+                                       const Bitmap&, double, double,
+                                       std::span<double>, std::size_t,
+                                       LogExpPath);
 template std::vector<float> log_inverse<float>(std::span<const float>,
                                                const Bitmap&, double, double,
                                                std::size_t, LogExpPath);

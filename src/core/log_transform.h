@@ -62,9 +62,18 @@ template <typename T>
 TransformResult<T> log_forward(std::span<const T> data, double rel_bound,
                                double base, std::size_t threads = 0);
 
-/// Inverse mapping: exponentiates, restores signs and exact zeros.
-/// `negative` may be empty (all values non-negative). Parallel with the
-/// same determinism guarantee as log_forward.
+/// Inverse mapping: exponentiates, restores signs and exact zeros into
+/// `out`, which must have mapped.size() elements and may alias `mapped`
+/// (an in-place inverse). `negative` may be empty (all values
+/// non-negative). Parallel with the same determinism guarantee as
+/// log_forward.
+template <typename T>
+void log_inverse_into(std::span<const T> mapped, const Bitmap& negative,
+                      double base, double zero_threshold, std::span<T> out,
+                      std::size_t threads = 0,
+                      LogExpPath path = LogExpPath::kAuto);
+
+/// log_inverse_into a freshly allocated vector.
 template <typename T>
 std::vector<T> log_inverse(std::span<const T> mapped, const Bitmap& negative,
                            double base, double zero_threshold,

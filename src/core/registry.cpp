@@ -78,33 +78,6 @@ isabela::Params isabela_params(const CompressorParams& p) {
 }
 
 template <typename T>
-std::vector<std::uint8_t> encode(Scheme s, std::span<const T> d, Dims dims,
-                                 const CompressorParams& p) {
-  switch (s) {
-    case Scheme::kSzAbs:
-      return sz::compress<T>(d, dims, sz_params(p, sz::Mode::kAbs));
-    case Scheme::kSzPwr:
-      return sz::compress<T>(d, dims, sz_params(p, sz::Mode::kPwrBlock));
-    case Scheme::kSzT:
-      return transformed_compress<T>(d, dims, InnerCodec::kSz,
-                                     transformed_params(p));
-    case Scheme::kZfpP:
-      return zfp::compress<T>(d, dims, zfp_p_params(p));
-    case Scheme::kZfpT:
-      return transformed_compress<T>(d, dims, InnerCodec::kZfp,
-                                     transformed_params(p));
-    case Scheme::kFpzip:
-      return fpzip::compress<T>(d, dims, fpzip_params<T>(p));
-    case Scheme::kIsabela:
-      return isabela::compress<T>(d, dims, isabela_params(p));
-    case Scheme::kSziT:
-      return transformed_compress<T>(d, dims, InnerCodec::kSzInterp,
-                                     transformed_params(p));
-  }
-  throw ParamError("compress: unknown scheme");
-}
-
-template <typename T>
 std::vector<T> decode(Scheme s, std::span<const std::uint8_t> stream,
                       Dims* dims) {
   switch (s) {
@@ -123,6 +96,51 @@ std::vector<T> decode(Scheme s, std::span<const std::uint8_t> stream,
       return isabela::decompress<T>(stream, dims);
   }
   throw ParamError("decompress: unknown scheme");
+}
+
+/// Schemes without an in-loop reconstruction fill `rec` by decoding the
+/// stream they just wrote.
+template <typename T>
+std::vector<std::uint8_t> with_decoded(Scheme s,
+                                       std::vector<std::uint8_t> stream,
+                                       std::vector<T>* rec) {
+  if (rec) *rec = decode<T>(s, stream, nullptr);
+  return stream;
+}
+
+/// `rec`, when set, receives exactly what decode() of the returned stream
+/// gives: the SZ family's own reconstruction, else a decode.
+template <typename T>
+std::vector<std::uint8_t> encode(Scheme s, std::span<const T> d, Dims dims,
+                                 const CompressorParams& p,
+                                 std::vector<T>* rec) {
+  switch (s) {
+    case Scheme::kSzAbs:
+      return sz::compress<T>(d, dims, sz_params(p, sz::Mode::kAbs), rec);
+    case Scheme::kSzPwr:
+      return sz::compress<T>(d, dims, sz_params(p, sz::Mode::kPwrBlock),
+                             rec);
+    case Scheme::kSzT:
+      return transformed_compress<T>(d, dims, InnerCodec::kSz,
+                                     transformed_params(p), rec);
+    case Scheme::kZfpP:
+      return with_decoded(s, zfp::compress<T>(d, dims, zfp_p_params(p)), rec);
+    case Scheme::kZfpT:
+      return with_decoded(s,
+                          transformed_compress<T>(d, dims, InnerCodec::kZfp,
+                                                  transformed_params(p)),
+                          rec);
+    case Scheme::kFpzip:
+      return with_decoded(
+          s, fpzip::compress<T>(d, dims, fpzip_params<T>(p)), rec);
+    case Scheme::kIsabela:
+      return with_decoded(
+          s, isabela::compress<T>(d, dims, isabela_params(p)), rec);
+    case Scheme::kSziT:
+      return transformed_compress<T>(d, dims, InnerCodec::kSzInterp,
+                                     transformed_params(p), rec);
+  }
+  throw ParamError("compress: unknown scheme");
 }
 
 std::vector<std::uint8_t> note_compressed(std::size_t in_bytes,
@@ -149,18 +167,20 @@ Compressor::Compressor(Scheme scheme) : scheme_(scheme) {
     throw ParamError("make_compressor: unknown scheme");
 }
 
-std::vector<std::uint8_t> Compressor::compress(std::span<const float> d,
-                                               Dims dims,
-                                               const CompressorParams& p) {
+std::vector<std::uint8_t> Compressor::compress(
+    std::span<const float> d, Dims dims, const CompressorParams& p,
+    std::vector<float>* reconstruction) {
   obs::Span span(kNames[index_of(scheme_)].compress_span);
-  return note_compressed(d.size_bytes(), encode(scheme_, d, dims, p));
+  return note_compressed(d.size_bytes(),
+                         encode(scheme_, d, dims, p, reconstruction));
 }
 
-std::vector<std::uint8_t> Compressor::compress(std::span<const double> d,
-                                               Dims dims,
-                                               const CompressorParams& p) {
+std::vector<std::uint8_t> Compressor::compress(
+    std::span<const double> d, Dims dims, const CompressorParams& p,
+    std::vector<double>* reconstruction) {
   obs::Span span(kNames[index_of(scheme_)].compress_span);
-  return note_compressed(d.size_bytes(), encode(scheme_, d, dims, p));
+  return note_compressed(d.size_bytes(),
+                         encode(scheme_, d, dims, p, reconstruction));
 }
 
 std::vector<float> Compressor::decompress_f32(std::span<const std::uint8_t> s,

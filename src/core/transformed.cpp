@@ -17,15 +17,22 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x31545254;  // "TRT1"
 
+/// The exp path that inverts a payload stamped with `log_kernel`.
+LogExpPath exp_path_for(std::uint8_t log_kernel) {
+  return log_kernel == 1 ? LogExpPath::kFastKernel : LogExpPath::kLegacyLibm;
+}
+
 }  // namespace
 
 template <typename T>
-std::vector<std::uint8_t> transformed_compress(std::span<const T> data,
-                                               Dims dims, InnerCodec codec,
-                                               const TransformedParams& p) {
+std::vector<std::uint8_t> transformed_compress(
+    std::span<const T> data, Dims dims, InnerCodec codec,
+    const TransformedParams& p, std::vector<T>* reconstruction) {
   dims.validate();
   if (data.size() != dims.count())
     throw ParamError("transformed: data size does not match dims");
+  if (reconstruction && codec == InnerCodec::kZfp)
+    throw ParamError("transformed: ZFP has no encoder reconstruction");
 
   obs::Span root_span("transformed.compress");
 
@@ -52,18 +59,28 @@ std::vector<std::uint8_t> transformed_compress(std::span<const T> data,
       sp.mode = sz::Mode::kAbs;
       sp.bound = tr.adjusted_abs_bound;
       sp.threads = p.threads;
-      inner = sz::compress<T>(tr.mapped, dims, sp);
+      inner = sz::compress<T>(tr.mapped, dims, sp, reconstruction);
     } else if (codec == InnerCodec::kSzInterp) {
       sz_interp::Params ip;
       ip.bound = tr.adjusted_abs_bound;
       ip.threads = p.threads;
-      inner = sz_interp::compress<T>(tr.mapped, dims, ip);
+      inner = sz_interp::compress<T>(tr.mapped, dims, ip, reconstruction);
     } else {
       zfp::Params zp;
       zp.mode = zfp::Mode::kAccuracy;
       zp.tolerance = tr.adjusted_abs_bound;
       inner = zfp::compress<T>(tr.mapped, dims, zp);
     }
+  }
+
+  // The inner codec left its log-domain reconstruction in
+  // `reconstruction`; the decoder's inverse, with the stream's own
+  // parameters, turns it into what transformed_decompress() returns.
+  if (reconstruction) {
+    obs::Span post_span("post");
+    log_inverse_into<T>(*reconstruction, tr.negative, p.log_base,
+                        tr.zero_threshold, *reconstruction, p.threads,
+                        exp_path_for(log_kernel_version<T>()));
   }
 
   ByteWriter out;
@@ -130,15 +147,17 @@ std::vector<T> transformed_decompress(std::span<const std::uint8_t> stream,
     BitReader br(raw);
     negative = rle::decode_bits(br);
   }
-  return log_inverse<T>(mapped, negative, base, zero_threshold, threads,
-                        log_kernel == 1 ? LogExpPath::kFastKernel
-                                        : LogExpPath::kLegacyLibm);
+  log_inverse_into<T>(mapped, negative, base, zero_threshold, mapped,
+                      threads, exp_path_for(log_kernel));
+  return mapped;
 }
 
 template std::vector<std::uint8_t> transformed_compress<float>(
-    std::span<const float>, Dims, InnerCodec, const TransformedParams&);
+    std::span<const float>, Dims, InnerCodec, const TransformedParams&,
+    std::vector<float>*);
 template std::vector<std::uint8_t> transformed_compress<double>(
-    std::span<const double>, Dims, InnerCodec, const TransformedParams&);
+    std::span<const double>, Dims, InnerCodec, const TransformedParams&,
+    std::vector<double>*);
 template std::vector<float> transformed_decompress<float>(
     std::span<const std::uint8_t>, Dims*, std::size_t);
 template std::vector<double> transformed_decompress<double>(

@@ -26,10 +26,16 @@ struct TransformedParams {
 /// "transformed.compress/pre" (forward log map + sign compression) and
 /// "transformed.decompress/post" (inverse map + sign decompression), each
 /// beside an "inner" span for the inner codec.
+///
+/// With the SZ and SZ-interp inner codecs, `reconstruction` (when set)
+/// receives exactly what transformed_decompress() of the returned stream
+/// yields: the inner codec's own log-domain reconstruction, run through
+/// the decoder's inverse in place ("transformed.compress/post"). ZFP has
+/// no in-loop reconstruction, so kZfp refuses a non-null `reconstruction`.
 template <typename T>
-std::vector<std::uint8_t> transformed_compress(std::span<const T> data,
-                                               Dims dims, InnerCodec codec,
-                                               const TransformedParams& p);
+std::vector<std::uint8_t> transformed_compress(
+    std::span<const T> data, Dims dims, InnerCodec codec,
+    const TransformedParams& p, std::vector<T>* reconstruction = nullptr);
 
 /// `threads` controls the inverse-transform stage; 0 => hardware
 /// concurrency.

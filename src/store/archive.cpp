@@ -359,20 +359,17 @@ struct ArchiveWriter::OpenDataset {
       try {
         Dims cdims = self->info.dims;
         cdims.d[0] = self->chunk_rows(i);
-        auto comp = make_compressor(self->opts.scheme);
-        auto stream = comp->compress(rows, cdims, self->opts.params);
+        // Summaries describe what a reader will reconstruct, not the
+        // input, so query answers match decompress-then-scan bit for bit.
+        // The compressor hands that reconstruction back: the SZ family's
+        // encoder already holds it, the other schemes decode their stream.
+        std::vector<T> rec;
+        auto stream = make_compressor(self->opts.scheme)
+                          ->compress(rows, cdims, self->opts.params,
+                                     self->opts.summaries ? &rec : nullptr);
         ChunkSummary summary;
-        if (self->opts.summaries) {
-          // Summaries describe what a reader will reconstruct, so decode
-          // the stream we just wrote rather than summarizing the input:
-          // query answers then match decompress-then-scan bit-for-bit.
-          std::vector<T> rec;
-          if constexpr (std::is_same_v<T, float>)
-            rec = comp->decompress_f32(stream, nullptr);
-          else
-            rec = comp->decompress_f64(stream, nullptr);
+        if (self->opts.summaries)
           summary = summarize_values<T>(std::span<const T>(rec));
-        }
         std::lock_guard<std::mutex> lock(self->mu);
         self->streams[i] = std::move(stream);
         self->summaries[i] = summary;

@@ -38,9 +38,10 @@ struct ChunkInfo {
 };
 
 /// Per-chunk compressed-domain summary (TPAR v2). Statistics are taken
-/// over the *reconstructed* values (decompress-after-compress at write
-/// time), so answers derived from summaries agree exactly with
-/// decompress-then-scan — no error-bound slop enters query results.
+/// over the *reconstructed* values (bit for bit what a decompress of the
+/// chunk gives, handed back by the compressor at write time), so answers
+/// derived from summaries agree exactly with decompress-then-scan — no
+/// error-bound slop enters query results.
 /// `min`/`max`/`sum` cover finite values only; a chunk with no finite
 /// values carries the sentinels min=+inf, max=-inf, sum=0. The histogram
 /// is `kHistBuckets` equal-width buckets over the chunk-local [min, max]
@@ -93,7 +94,9 @@ struct DatasetOptions {
   std::size_t rows_per_chunk = 0;  ///< 0 => one chunk per worker thread
   std::size_t threads = 0;         ///< 0 => hardware concurrency
   /// Compute per-chunk ChunkSummary blocks (TPAR v2 compressed-domain
-  /// analytics) by decoding each chunk right after compressing it.
+  /// analytics) over each chunk's reconstruction, which the compressor
+  /// returns with the stream: the SZ family's encoder already holds it,
+  /// ZFP, FPZIP and ISABELA decode the chunk they just wrote.
   bool summaries = true;
 };
 

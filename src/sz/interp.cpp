@@ -118,7 +118,8 @@ void traverse(const Grid& g, std::vector<T>& recon, Visit&& visit) {
 
 template <typename T>
 std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
-                                   const Params& params) {
+                                   const Params& params,
+                                   std::vector<T>* recon_out) {
   validate(params, dims);
   if (data.size() != dims.count())
     throw ParamError("sz_interp: data size does not match dims");
@@ -145,6 +146,9 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
     recon[idx] = qs.recon;
     if (qs.code == 0) outliers.push_back(data[idx]);
   });
+  // The traversal's reconstruction is bit for bit what decompress()
+  // rebuilds.
+  if (recon_out) *recon_out = std::move(recon);
 
   std::vector<std::uint8_t> coded =
       lossless::blocked_encode(codes, kIntervals, params.threads);
@@ -243,9 +247,11 @@ std::vector<T> decompress(std::span<const std::uint8_t> stream,
 }
 
 template std::vector<std::uint8_t> compress<float>(std::span<const float>,
-                                                   Dims, const Params&);
+                                                   Dims, const Params&,
+                                                   std::vector<float>*);
 template std::vector<std::uint8_t> compress<double>(std::span<const double>,
-                                                    Dims, const Params&);
+                                                    Dims, const Params&,
+                                                    std::vector<double>*);
 template std::vector<float> decompress<float>(std::span<const std::uint8_t>,
                                               Dims*, std::size_t);
 template std::vector<double> decompress<double>(std::span<const std::uint8_t>,

@@ -31,9 +31,13 @@ struct Params {
   std::size_t threads = 0;
 };
 
+/// When `recon_out` is set it receives the traversal's reconstructed
+/// values, which are exactly what decompress() of the returned stream
+/// yields.
 template <typename T>
 std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
-                                   const Params& params);
+                                   const Params& params,
+                                   std::vector<T>* recon_out = nullptr);
 
 /// v2 streams decode their entropy blocks in parallel (`threads`); v1
 /// streams from older writers still decode serially. The stored interval

@@ -377,7 +377,8 @@ std::size_t decode_sweep_tiled(const std::uint32_t* codes, const Geometry& g,
 
 template <typename T>
 std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
-                                   const Params& p) {
+                                   const Params& p,
+                                   std::vector<T>* recon_out) {
   validate(p, dims);
   if (data.size() != dims.count())
     throw ParamError("sz: data size does not match dims");
@@ -430,6 +431,8 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
     }
   }
   obs::counter_add("sz.outliers", outliers.size());
+  // The sweep's reconstruction is bit for bit what decompress() rebuilds.
+  if (recon_out) *recon_out = std::move(recon);
 
   // Entropy stage: block-parallel Huffman over the quantization codes (the
   // v2 container), then the entropy-gated LZ over the coded bytes.
@@ -616,9 +619,11 @@ std::vector<T> decompress(std::span<const std::uint8_t> stream,
 }
 
 template std::vector<std::uint8_t> compress<float>(std::span<const float>,
-                                                   Dims, const Params&);
+                                                   Dims, const Params&,
+                                                   std::vector<float>*);
 template std::vector<std::uint8_t> compress<double>(std::span<const double>,
-                                                    Dims, const Params&);
+                                                    Dims, const Params&,
+                                                    std::vector<double>*);
 template std::vector<float> decompress<float>(std::span<const std::uint8_t>,
                                               Dims*, std::size_t);
 template std::vector<double> decompress<double>(std::span<const std::uint8_t>,

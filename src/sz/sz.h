@@ -40,9 +40,13 @@ struct Params {
 
 /// Stage times are recorded as obs spans under "sz.compress" (predict,
 /// entropy_encode) and "sz.decompress" (entropy_decode, reconstruct).
+/// When `recon_out` is set it receives the predict sweep's reconstructed
+/// values, which are exactly what decompress() of the returned stream
+/// yields.
 template <typename T>
 std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
-                                   const Params& params);
+                                   const Params& params,
+                                   std::vector<T>* recon_out = nullptr);
 
 /// Decompress a stream produced by compress(). The stream is
 /// self-describing; `dims_out` receives the original shape. Streams carry

@@ -11,8 +11,10 @@
 
 #include "common/error.h"
 #include "data/generators.h"
+#include "kernels/dispatch.h"
 #include "metrics/metrics.h"
 #include "obs/obs.h"
+#include "testing/generators.h"
 
 namespace transpwr {
 namespace {
@@ -78,6 +80,87 @@ TEST(Registry, EveryRoundTripRecordsItsSpansAndByteCounters) {
     SCOPED_TRACE(scheme_name(s));
     check_recorded_round_trip<float>(s);
     check_recorded_round_trip<double>(s);
+  }
+}
+
+/// One field shape of the reconstruction contract sweep.
+template <typename T>
+struct ShapedField {
+  std::string name;
+  std::vector<T> values;
+  Dims dims;
+};
+
+template <typename T>
+std::vector<ShapedField<T>> reconstruction_fields() {
+  std::vector<ShapedField<T>> out;
+  ShapedField<T> smooth{"smooth3d", {}, Dims(12, 10, 9)};
+  smooth.values.resize(smooth.dims.count());
+  for (std::size_t i = 0; i < smooth.values.size(); ++i)
+    smooth.values[i] = static_cast<T>(
+        50.0 + 10.0 * std::sin(0.05 * static_cast<double>(i)) +
+        3.0 * std::cos(0.31 * static_cast<double>(i % 9)));
+  out.push_back(std::move(smooth));
+
+  ShapedField<T> signs{"signs1d", {}, Dims(1000)};
+  signs.values.resize(1000);
+  for (std::size_t i = 0; i < signs.values.size(); ++i) {
+    const double v = 2.0 + std::sin(0.02 * static_cast<double>(i));
+    signs.values[i] = static_cast<T>(i % 5 == 0 ? -v : v);
+  }
+  out.push_back(std::move(signs));
+
+  using transpwr::testing::Family;
+  for (Family f : {Family::kSparseZeros, Family::kSignedZeros,
+                   Family::kDenormals, Family::kTinyValuesMix}) {
+    ShapedField<T> fam{transpwr::testing::family_name(f), {}, Dims(16, 24)};
+    fam.values = transpwr::testing::make_field<T>(f, fam.dims.count(), 17);
+    out.push_back(std::move(fam));
+  }
+  return out;
+}
+
+template <typename T>
+std::vector<T> decompress_as(Compressor& c,
+                             std::span<const std::uint8_t> stream) {
+  if constexpr (std::is_same_v<T, float>)
+    return c.decompress_f32(stream);
+  else
+    return c.decompress_f64(stream);
+}
+
+template <typename T>
+void check_reconstruction_equals_decode() {
+  for (const ShapedField<T>& f : reconstruction_fields<T>()) {
+    for (Scheme s : all_schemes()) {
+      SCOPED_TRACE(f.name + " " + scheme_name(s));
+      Compressor c(s);
+      CompressorParams p;
+      p.bound = 1e-2;
+      std::vector<T> rec;
+      const auto stream =
+          c.compress(std::span<const T>(f.values), f.dims, p, &rec);
+      const auto plain = c.compress(std::span<const T>(f.values), f.dims, p);
+      EXPECT_EQ(stream, plain) << "asking for the reconstruction changed "
+                                  "the stream";
+      const std::vector<T> decoded = decompress_as<T>(c, stream);
+      ASSERT_EQ(rec.size(), decoded.size());
+      EXPECT_EQ(0, std::memcmp(rec.data(), decoded.data(),
+                               rec.size() * sizeof(T)));
+    }
+  }
+}
+
+TEST(Registry, ReconstructionEqualsDecode) {
+  // The encoder's reconstruction stands in for a decode (archive summaries
+  // are built from it), so it must be the decoded output bit for bit under
+  // both kernel dispatches.
+  for (kernels::Dispatch d :
+       {kernels::Dispatch::kGeneric, kernels::Dispatch::kNative}) {
+    SCOPED_TRACE(kernels::name(d));
+    kernels::ScopedDispatch scoped(d);
+    check_reconstruction_equals_decode<float>();
+    check_reconstruction_equals_decode<double>();
   }
 }
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -41,14 +42,15 @@ struct Workload {
 };
 
 Workload make_workload(const std::string& name, const Field<float>& f,
-                       std::size_t rows_per_chunk) {
+                       std::size_t rows_per_chunk,
+                       Scheme scheme = Scheme::kSzAbs) {
   Workload w;
   w.name = name;
   w.dims = f.dims;
   store::ArchiveWriter writer(&w.archive);
   store::DatasetOptions opts;
-  opts.scheme = Scheme::kSzAbs;
-  opts.params.bound = 1.0;
+  opts.scheme = scheme;
+  opts.params.bound = scheme == Scheme::kSzAbs ? 1.0 : 1e-2;
   opts.rows_per_chunk = rows_per_chunk;
   opts.threads = 1;
   writer.add_dataset<float>(name, f.span(), f.dims, opts);
@@ -59,20 +61,23 @@ Workload make_workload(const std::string& name, const Field<float>& f,
 }
 
 /// The six generator families the conformance sweep exercises, chunked so
-/// every workload has several chunks and the last one is ragged.
-std::vector<Workload> all_workloads() {
+/// every workload has several chunks and the last one is ragged. SZ_ABS
+/// (bound 1.0) unless another scheme is asked for (relative bound 1e-2).
+std::vector<Workload> all_workloads(Scheme scheme = Scheme::kSzAbs) {
   std::vector<Workload> out;
   out.push_back(make_workload(
-      "nyx_dmd", gen::nyx_dark_matter_density(Dims(20, 12, 10), 1), 6));
+      "nyx_dmd", gen::nyx_dark_matter_density(Dims(20, 12, 10), 1), 6,
+      scheme));
+  out.push_back(make_workload(
+      "nyx_vel", gen::nyx_velocity(Dims(16, 10, 8), 2), 5, scheme));
   out.push_back(
-      make_workload("nyx_vel", gen::nyx_velocity(Dims(16, 10, 8), 2), 5));
-  out.push_back(make_workload("hacc_vel", gen::hacc_velocity(1200, 3), 250));
+      make_workload("hacc_vel", gen::hacc_velocity(1200, 3), 250, scheme));
   out.push_back(make_workload(
-      "cesm_cloud", gen::cesm_cloud_fraction(Dims(24, 32), 4), 7));
-  out.push_back(make_workload("cesm_flux", gen::cesm_flux(Dims(18, 20), 5),
-                              4));
+      "cesm_cloud", gen::cesm_cloud_fraction(Dims(24, 32), 4), 7, scheme));
   out.push_back(make_workload(
-      "hurr_wind", gen::hurricane_wind(Dims(12, 10, 10), 6), 5));
+      "cesm_flux", gen::cesm_flux(Dims(18, 20), 5), 4, scheme));
+  out.push_back(make_workload(
+      "hurr_wind", gen::hurricane_wind(Dims(12, 10, 10), 6), 5, scheme));
   return out;
 }
 
@@ -339,6 +344,36 @@ TEST(QueryDifferential, StoredSummariesMatchRecomputation) {
     EXPECT_DOUBLE_EQ(got.max, want.max);
     EXPECT_DOUBLE_EQ(got.sum, want.sum);
     EXPECT_EQ(got.hist, want.hist);
+  }
+}
+
+TEST(QueryDifferential, StoredSummariesMatchRecomputationEveryScheme) {
+  // The writer builds summaries from the compressor's reconstruction (the
+  // SZ family's encoder-side one, a decode for the rest); for every scheme
+  // they must equal summarize_values over the decoded chunk exactly, with
+  // no ulp of slack.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (Scheme s : all_schemes()) {
+    for (const Workload& w : all_workloads(s)) {
+      SCOPED_TRACE(std::string(scheme_name(s)) + " " + w.name);
+      store::ArchiveReader reader(w.archive);
+      const auto& ds = reader.dataset(w.name);
+      ASSERT_EQ(ds.summaries.size(), ds.chunks.size());
+      for (std::size_t c = 0; c < ds.chunks.size(); ++c) {
+        const auto values = reader.load_chunk<float>(w.name, c);
+        const store::ChunkSummary want =
+            store::summarize_values<float>(std::span<const float>(values));
+        const store::ChunkSummary& got = ds.summaries[c];
+        EXPECT_EQ(bits(got.min), bits(want.min)) << "chunk " << c;
+        EXPECT_EQ(bits(got.max), bits(want.max)) << "chunk " << c;
+        EXPECT_EQ(bits(got.sum), bits(want.sum)) << "chunk " << c;
+        EXPECT_EQ(got.finite, want.finite) << "chunk " << c;
+        EXPECT_EQ(got.nan, want.nan) << "chunk " << c;
+        EXPECT_EQ(got.pos_inf, want.pos_inf) << "chunk " << c;
+        EXPECT_EQ(got.neg_inf, want.neg_inf) << "chunk " << c;
+        EXPECT_EQ(got.hist, want.hist) << "chunk " << c;
+      }
+    }
   }
 }
 

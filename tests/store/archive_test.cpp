@@ -16,6 +16,7 @@
 #include "compat/golden_fields.h"
 #include "data/generators.h"
 #include "metrics/metrics.h"
+#include "obs/obs.h"
 #include "store/chunk_cache.h"
 
 namespace transpwr {
@@ -483,6 +484,48 @@ TEST(Archive, SingleChunkStoresTheSchemeStream) {
   ArchiveReader r(buf);
   ASSERT_EQ(r.dataset("flux").chunks.size(), 1u);
   EXPECT_EQ(r.read_chunk_bytes("flux", 0), direct);
+}
+
+/// Recorded span paths that name a decode of a chunk stream.
+std::vector<std::string> decode_spans(const obs::Snapshot& snap) {
+  std::vector<std::string> out;
+  for (const auto& [path, stat] : snap.spans)
+    for (const char* decode : {"sz.decompress", "sz_interp.decompress",
+                               "transformed.decompress", "decompress."})
+      if (path.find(decode) != std::string::npos) {
+        out.push_back(path);
+        break;
+      }
+  return out;
+}
+
+// Summaries describe the reconstruction. The SZ family's encoder already
+// holds it, so the writer must not decode the chunks it has just written;
+// schemes without an in-loop reconstruction still decode.
+TEST(Archive, SzFamilyWriterDecodesNoChunk) {
+  auto f = gen::nyx_velocity(Dims(16, 12, 12), 4);  // signed: sign bitmap
+  for (Scheme s : {Scheme::kSzAbs, Scheme::kSzPwr, Scheme::kSzT,
+                   Scheme::kSziT, Scheme::kZfpT}) {
+    SCOPED_TRACE(scheme_name(s));
+    obs::ScopedRecording rec;
+    obs::reset();
+    std::vector<std::uint8_t> buf;
+    {
+      ArchiveWriter w(&buf);
+      DatasetOptions opts;
+      opts.scheme = s;
+      opts.params.bound = s == Scheme::kSzAbs ? 1.0 : 1e-2;
+      opts.rows_per_chunk = 5;
+      w.add_dataset<float>("v", f.span(), f.dims, opts);
+      w.finish();
+    }
+    const auto decodes = decode_spans(obs::snapshot());
+    if (s == Scheme::kZfpT)
+      EXPECT_FALSE(decodes.empty()) << "ZFP_T summaries need a decode";
+    else
+      EXPECT_TRUE(decodes.empty()) << "writer decoded: " << decodes.front();
+    EXPECT_TRUE(ArchiveReader(buf).dataset("v").has_summaries());
+  }
 }
 
 // --- streaming writes: begin_dataset / append_rows / end_dataset ---

@@ -94,17 +94,19 @@ cmake --build "$asan" --target test_registry test_cli -j "$jobs"
 # Baseline codec smoke under the same sanitizers: each codec decoder
 # refuses every header mode byte its writer never emits (including the
 # SZ-interp linear fit byte), the v1 goldens decode the kept compat paths
-# (the SZ hybrid predictor among them), and the scheme pins check every
-# Scheme's bytes plus those refusals end to end.
+# (the SZ hybrid predictor among them), the transform container runs its
+# in-place inverse (encoder-side reconstruction and decode), and the
+# scheme pins check every Scheme's bytes plus those refusals end to end.
 echo "=== tier-1 [asan-ubsan]: baseline codec + scheme pins smoke ==="
 cmake --build "$asan" \
   --target test_zfp test_fpzip test_isabela test_sz test_sz_interp \
-  test_golden_v1 test_scheme_pins -j "$jobs"
+  test_transformed test_golden_v1 test_scheme_pins -j "$jobs"
 "$asan/tests/test_zfp"
 "$asan/tests/test_fpzip"
 "$asan/tests/test_isabela"
 "$asan/tests/test_sz"
 "$asan/tests/test_sz_interp"
+"$asan/tests/test_transformed"
 "$asan/tests/test_golden_v1"
 "$asan/tests/test_scheme_pins"
 
