@@ -28,7 +28,6 @@
 #include "data/generators.h"
 #include "kernels/dispatch.h"
 #include "kernels/log_batch.h"
-#include "kernels/zfp_lift.h"
 #include "lossless/blocked_huffman.h"
 #include "obs/obs.h"
 #include "store/archive.h"
@@ -212,60 +211,49 @@ int main(int argc, char** argv) {
     runs.push_back(r);
   }
 
-  // --- per-kernel rates (single-threaded): raw throughput of the PR6
-  // kernel layer under the active dispatch, independent of pipeline
-  // plumbing. predict_quant and huff_decode come from the t=1 pipeline
-  // stages (those stages run exactly the kernels over the whole field);
-  // the log and zfp kernels are timed directly on resident buffers.
+  // --- per-kernel rates (single-threaded): raw throughput of the kernel
+  // layer under the active dispatch, independent of pipeline plumbing.
+  // predict_quant and huff_decode come from the t=1 pipeline stages (those
+  // stages run exactly the kernels over the whole field); the log kernels
+  // are timed directly on resident buffers.
   struct KernelRates {
     double log_fwd_gbs = 0, log_inv_gbs = 0, predict_quant_gbs = 0,
-           huff_decode_gbs = 0, zfp_lift_gbs = 0;
+           huff_decode_gbs = 0;
   } kr;
   {
     const std::size_t kn =
         std::min<std::size_t>(f.values.size(), std::size_t{1} << 22);
+    const double kbytes = static_cast<double>(kn) * sizeof(float);
     // log_fwd times the fused float block the f32 forward transform runs
     // (base 2: scale 1), over float input bytes.
     std::vector<float> kmapped(kn);
     std::vector<std::uint64_t> ksign((kn + 63) / 64), kzero((kn + 63) / 64);
-    kr.log_fwd_gbs =
-        gbs(static_cast<double>(kn) * sizeof(float), best_seconds([&] {
-              double max_abs_log = 0;
-              kernels::LogFwdFlags flags;
-              kernels::log_forward_f32_block(f.values.data(), kmapped.data(),
-                                             kn, 1.0, ksign.data(),
-                                             kzero.data(), &max_abs_log,
-                                             &flags);
-            }));
-    std::vector<double> kin(kn), kout(kmapped.begin(), kmapped.end());
-    const double kbytes = static_cast<double>(kn) * sizeof(double);
+    kr.log_fwd_gbs = gbs(kbytes, best_seconds([&] {
+                           double max_abs_log = 0;
+                           kernels::LogFwdFlags flags;
+                           kernels::log_forward_f32_block(
+                               f.values.data(), kmapped.data(), kn, 1.0,
+                               ksign.data(), kzero.data(), &max_abs_log,
+                               &flags);
+                         }));
+    // log_inv times the function the f32 inverse stage calls,
+    // log_inverse_into at t=1, over the forward map of the same values.
+    const auto ktr = log_forward<float>(
+        std::span<const float>(f.values.data(), kn), 1e-3, 2.0, 1);
+    std::vector<float> kinv(kn);
     kr.log_inv_gbs = gbs(kbytes, best_seconds([&] {
-                           kernels::exp2_scaled_batch(kout.data(), kin.data(),
-                                                      kn, 1.0);
+                           log_inverse_into<float>(ktr.mapped, ktr.negative,
+                                                   ktr.log_base,
+                                                   ktr.zero_threshold, kinv,
+                                                   1);
                          }));
     kr.predict_quant_gbs = gbs(bytes, runs[0].stages.predict_s);
     kr.huff_decode_gbs = gbs(code_bytes, runs[0].entropy_decode_s);
-
-    // Forward block transform over 4 MB of 3-D int32 blocks, coefficients
-    // within the intprec-2 bits valid encodes produce.
-    const std::size_t nblocks = std::size_t{1} << 14;
-    std::vector<std::int32_t> blocks(nblocks * 64);
-    std::mt19937_64 krng(7);
-    for (auto& v : blocks)
-      v = static_cast<std::int32_t>(
-              static_cast<std::uint32_t>(krng()) >> 2) -
-          (std::int32_t{1} << 29);
-    kr.zfp_lift_gbs =
-        gbs(static_cast<double>(blocks.size()) * sizeof(std::int32_t),
-            best_seconds([&] {
-              for (std::size_t b = 0; b < nblocks; ++b)
-                kernels::zfp_fwd_xform_block(blocks.data() + 64 * b, 3);
-            }));
     std::printf(
         "kernels (%s): log_fwd %.2f GB/s  log_inv %.2f GB/s  "
-        "predict_quant %.2f GB/s  huff_decode %.2f GB/s  zfp_lift %.2f GB/s\n",
+        "predict_quant %.2f GB/s  huff_decode %.2f GB/s\n",
         kernels::name(kernels::active()), kr.log_fwd_gbs, kr.log_inv_gbs,
-        kr.predict_quant_gbs, kr.huff_decode_gbs, kr.zfp_lift_gbs);
+        kr.predict_quant_gbs, kr.huff_decode_gbs);
   }
 
   // --- stats consistency rep: one single-threaded SZ_T round trip with the
@@ -365,7 +353,6 @@ int main(int argc, char** argv) {
         {"kernel.log_inv_gbs", kr.log_inv_gbs},
         {"kernel.predict_quant_gbs", kr.predict_quant_gbs},
         {"kernel.huff_decode_gbs", kr.huff_decode_gbs},
-        {"kernel.zfp_lift_gbs", kr.zfp_lift_gbs},
     };
     for (const auto& [name, rate] : kernel_rates) {
       obs::gauge_set(name, rate);

@@ -1,8 +1,11 @@
-// Runtime selection between the two implementations every hot-path kernel
-// ships: kGeneric (straight reference loops) and kNative (unrolled /
-// cache-blocked / branch-free variants tuned for wide pipelines). Both run
-// the same per-element arithmetic in the same order, so the choice NEVER
-// changes produced bytes — only throughput. tests/kernels enforces that.
+// Runtime selection between a kernel's two implementations: kGeneric
+// (straight reference loops) and kNative (SIMD / latency-hiding variants).
+// Only the kernels whose native form measures a win at t=1 ship one: the
+// f32 log-forward block, the SZ 3-D wavefront encode and tiled decode
+// runs, the Huffman pair-table decode and CRC32C. Everything else has a
+// single body. Both forms run the same per-element arithmetic in an order
+// that respects every dependency, so the choice NEVER changes produced
+// bytes — only throughput. tests/kernels enforces that.
 #ifndef TRANSPWR_KERNELS_DISPATCH_H_
 #define TRANSPWR_KERNELS_DISPATCH_H_
 

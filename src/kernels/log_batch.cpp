@@ -100,67 +100,14 @@ void log_forward_f32_block(const float* in, float* mapped, std::size_t n,
                             max_abs_log, flags);
 }
 
-namespace {
-
-void log2_generic(const double* in, double* out, std::size_t n,
-                  double scale) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = fast_log2(in[i]) * scale;
-}
-
-void exp2_generic(const double* in, double* out, std::size_t n,
-                  double scale) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = fast_exp2(in[i] * scale);
-}
-
-// Native variants: 4-wide unrolled bodies with no cross-iteration state, so
-// the vectorizer emits packed divides/multiplies and the scalar remainder
-// peels off at the end. Same per-element expression as generic.
-void log2_native(const double* in, double* out, std::size_t n, double scale) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const double a = fast_log2(in[i]);
-    const double b = fast_log2(in[i + 1]);
-    const double c = fast_log2(in[i + 2]);
-    const double d = fast_log2(in[i + 3]);
-    out[i] = a * scale;
-    out[i + 1] = b * scale;
-    out[i + 2] = c * scale;
-    out[i + 3] = d * scale;
-  }
-  for (; i < n; ++i) out[i] = fast_log2(in[i]) * scale;
-}
-
-void exp2_native(const double* in, double* out, std::size_t n, double scale) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const double a = fast_exp2(in[i] * scale);
-    const double b = fast_exp2(in[i + 1] * scale);
-    const double c = fast_exp2(in[i + 2] * scale);
-    const double d = fast_exp2(in[i + 3] * scale);
-    out[i] = a;
-    out[i + 1] = b;
-    out[i + 2] = c;
-    out[i + 3] = d;
-  }
-  for (; i < n; ++i) out[i] = fast_exp2(in[i] * scale);
-}
-
-}  // namespace
-
 void log2_scaled_batch(const double* in, double* out, std::size_t n,
                        double scale) {
-  if (active() == Dispatch::kNative)
-    log2_native(in, out, n, scale);
-  else
-    log2_generic(in, out, n, scale);
+  for (std::size_t i = 0; i < n; ++i) out[i] = fast_log2(in[i]) * scale;
 }
 
 void exp2_scaled_batch(const double* in, double* out, std::size_t n,
                        double scale) {
-  if (active() == Dispatch::kNative)
-    exp2_native(in, out, n, scale);
-  else
-    exp2_generic(in, out, n, scale);
+  for (std::size_t i = 0; i < n; ++i) out[i] = fast_exp2(in[i] * scale);
 }
 
 }  // namespace kernels

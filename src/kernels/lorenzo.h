@@ -1,19 +1,23 @@
 // Lorenzo prediction + linear-scaling quantization, shared by the sz and
-// interp codecs. Two layers:
+// interp codecs. Three parts:
 //
 //  - Per-point helpers (lorenzo_predict / quantize_point / dequantize_point):
 //    the single source of truth for the stencil and the quantizer
 //    arithmetic, verbatim the expressions the codecs carried before the
-//    kernel layer existed. Streams stay bit-identical.
+//    kernel layer existed. Streams stay bit-identical. Every encode point
+//    outside the wavefront, under either dispatch, runs these.
 //
-//  - Interior run kernels (lorenzo_quant_run / lorenzo_recon_run): the
-//    native-dispatch fast path. They process a contiguous x-run whose every
-//    point has a full stencil (no boundary zeros), with the row-above /
-//    plane-above loads hoisted into sliding locals and the predictable
-//    branch turned into selects. Each point still evaluates the exact
-//    per-point expressions in the same order, so codes and reconstructed
-//    values match the checked path bit for bit; boundary rows and x == 0
-//    stay on the per-point helpers.
+//  - The 3-D wavefront encode (lorenzo_quant_wavefront3): the one native
+//    encode fast path. It advances W interior rows in a staggered front so
+//    W reconstructed-value recurrences are in flight at once.
+//
+//  - Interior decode runs (lorenzo_recon_run): the native decode fast path
+//    over a contiguous x-run whose every point has a full stencil, with the
+//    row-above / plane-above loads hoisted into sliding locals.
+//
+// The fast paths evaluate the exact per-point expressions in an order that
+// respects every data dependency, so codes and reconstructed values match
+// the per-point path bit for bit.
 #ifndef TRANSPWR_KERNELS_LORENZO_H_
 #define TRANSPWR_KERNELS_LORENZO_H_
 
@@ -89,76 +93,15 @@ inline T dequantize_point(double pred, double two_eb, std::int64_t q) {
   return narrow_to<T>(pred + two_eb * static_cast<double>(q));
 }
 
-// Encode a contiguous interior x-run [idx0, idx0 + len) of one row under a
-// constant bound. Caller guarantees every point has a full ND-dimensional
-// stencil: idx0's x coordinate >= 1, and for ND >= 2 the row is not the
-// first of its plane (nor, for ND == 3, in the first plane). Fills
-// codes/recon only — the outlier VALUES are gathered afterwards from
-// codes[i] == 0 positions, which preserves the raster emission order of the
-// per-point path.
-template <int ND, typename T>
-inline void lorenzo_quant_run(const T* data, T* recon, std::uint32_t* codes,
-                              std::size_t idx0, std::size_t len,
-                              std::size_t sy, std::size_t sz, double eb,
-                              double two_eb, double threshold,
-                              std::int64_t radius) {
-  // Sliding stencil state: prev* carry the x-1 column of each neighbor row,
-  // so the interior body issues one load per existing neighbor row instead
-  // of seven.
-  double prev = static_cast<double>(recon[idx0 - 1]);
-  double prev_up = 0.0, prev_zz = 0.0, prev_zy = 0.0;
-  if constexpr (ND >= 2) prev_up = static_cast<double>(recon[idx0 - sy - 1]);
-  if constexpr (ND == 3) {
-    prev_zz = static_cast<double>(recon[idx0 - sz - 1]);
-    prev_zy = static_cast<double>(recon[idx0 - sz - sy - 1]);
-  }
-  for (std::size_t k = 0; k < len; ++k) {
-    const std::size_t idx = idx0 + k;
-    double pred;
-    if constexpr (ND == 1) {
-      pred = prev;
-    } else if constexpr (ND == 2) {
-      const double up = static_cast<double>(recon[idx - sy]);
-      pred = prev + up - prev_up;
-      prev_up = up;
-    } else {
-      const double c100 = static_cast<double>(recon[idx - sz]);
-      const double c010 = static_cast<double>(recon[idx - sy]);
-      const double c110 = static_cast<double>(recon[idx - sz - sy]);
-      // c101/c011/c111 are the previous column's c100/c010/c110 — the
-      // sliding locals. Same left-to-right order as the checked path:
-      // c100 + c010 + c001 - c110 - c101 - c011 + c111.
-      pred = c100 + c010 + prev - c110 - prev_zz - prev_up + prev_zy;
-      prev_zz = c100;
-      prev_up = c010;
-      prev_zy = c110;
-    }
-    const double v = static_cast<double>(data[idx]);
-    const double diff = v - pred;
-    const bool predictable = std::abs(diff) < threshold;
-    // Select before the integer conversion: NaN / huge diffs must never
-    // reach the (int64) cast (UB).
-    const double ratio = predictable ? diff / two_eb : 0.0;
-    const std::int64_t q = llround_exact(ratio);
-    const T r = narrow_to<T>(pred + two_eb * static_cast<double>(q));
-    const bool accept =
-        predictable && std::abs(static_cast<double>(r) - v) <= eb;
-    codes[idx] =
-        accept ? static_cast<std::uint32_t>(radius + q) : 0u;
-    const T rv = accept ? r : data[idx];
-    recon[idx] = rv;
-    prev = static_cast<double>(rv);
-  }
-}
-
 // Wavefront encode of W consecutive interior rows (same z >= 1 plane, all
 // y >= 1, full rows [0, nx), constant bound). Lane l covers row
 // base + l * sy; at step t lane l sits at x = t - l, so each row trails
 // the row above by exactly one column and every stencil load (row above
 // at x and x - 1, previous plane anywhere) is final before it is read.
-// Per-point expressions are the checked-path / lorenzo_quant_run bodies
-// verbatim — the wavefront only reorders points that do not depend on each
-// other, so codes and recon match the row-at-a-time path bit for bit.
+// Each point runs quantize_point's expressions with its branch turned into
+// selects, and sums the stencil in lorenzo_predict's order — the wavefront
+// only reorders points that do not depend on each other, so codes and
+// recon match the per-point sweep bit for bit.
 // Why it is faster: the recon recurrence serializes each row at roughly
 // one point per chain latency (divide + round-trip to int and back); W
 // staggered rows keep W independent chains in flight. Caller guarantees
@@ -230,8 +173,11 @@ inline void lorenzo_quant_wavefront3(const T* data, T* recon,
       step(l, t - static_cast<std::size_t>(l));
 }
 
-// Decode mirror of lorenzo_quant_run: reconstructs the same interior run
-// from codes + outlier stream. outlier_next advances in raster order.
+// Decode of a contiguous interior x-run [idx0, idx0 + len) of one row under
+// a constant bound, from codes + outlier stream. Caller guarantees every
+// point has a full ND-dimensional stencil: idx0's x coordinate >= 1, and
+// for ND >= 2 the row is not the first of its plane (nor, for ND == 3, in
+// the first plane). outlier_next advances in raster order.
 template <int ND, typename T>
 inline void lorenzo_recon_run(const std::uint32_t* codes, T* recon,
                               const T* outliers, std::size_t n_outliers,

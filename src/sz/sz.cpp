@@ -184,129 +184,19 @@ struct RegPlan {
   }
 };
 
-/// Interior rows advanced together by the 3-D wavefront sweep. Four lanes
+/// Interior rows advanced together by the 3-D wavefront encode. Four lanes
 /// cover the quantizer's div+round+narrow latency chain on current cores;
 /// wider fronts spill the sliding stencil state out of registers.
 constexpr int kWavefrontRows = 4;
 
-/// Native-dispatch encode sweep for the pure-Lorenzo path. Rows are cut
+/// Native-dispatch decode sweep for the pure-Lorenzo path. Rows are cut
 /// into constant-bound runs (whole row in kAbs mode, block-edge-aligned
-/// segments in PWR mode) whose interior points run the branch-free kernel
-/// with hoisted bound constants and sliding stencil loads; x == 0 and
-/// reduced-stencil boundary rows (first row of a plane, first plane) keep
-/// the checked per-point path. Every point evaluates the same expressions
-/// as the generic sweep, so codes and recon are bit-identical. Outlier
-/// VALUES are not pushed here — the caller gathers codes[i] == 0 positions
-/// afterwards, which preserves the raster emission order.
-template <typename T>
-void encode_sweep_tiled(std::span<const T> data, const Geometry& g, Mode mode,
-                        double bound, const std::vector<std::int16_t>& exps,
-                        std::uint32_t radius, std::uint32_t* codes, T* recon) {
-  const int nd = g.dims.nd;
-  const std::size_t nz = nd == 3 ? g.dims[0] : 1;
-  const std::size_t ny = nd >= 2 ? g.dims[nd - 2] : 1;
-  const std::size_t nx = g.dims[nd - 1];
-  const bool pwr = mode == Mode::kPwrBlock;
-  const double rad2 = (static_cast<double>(radius) - 0.5) * 2.0;
-  const auto radius_i = static_cast<std::int64_t>(radius);
-
-  // kAbs 3-D fields take the wavefront specialization: W interior rows
-  // advance in a staggered front (lane l trails lane l-1 by one column), so
-  // W independent reconstructed-value recurrences are in flight instead of
-  // one latency chain. Each point still evaluates the exact per-point
-  // expressions in an order that respects every data dependency, so codes
-  // and recon are bit-identical to the row-at-a-time sweep.
-  if (nd == 3 && !pwr && nx >= kWavefrontRows) {
-    constexpr int W = kWavefrontRows;
-    const double eb = bound;
-    const double two_eb = 2.0 * eb;
-    const double threshold = rad2 * eb;
-    const auto point_row = [&](std::size_t z, std::size_t y) {
-      const std::size_t row = z * g.stride_z + y * g.stride_y;
-      for (std::size_t xs = 0; xs < nx; ++xs) {
-        const std::size_t i = row + xs;
-        const double pred = kernels::lorenzo_predict(
-            recon, nd, g.stride_y, g.stride_z, z, y, xs, i);
-        const auto qs = kernels::quantize_point<T>(data[i], pred, eb, two_eb,
-                                                   threshold, radius_i);
-        codes[i] = qs.code;
-        recon[i] = qs.recon;
-      }
-    };
-    for (std::size_t y = 0; y < ny; ++y) point_row(0, y);  // boundary plane
-    for (std::size_t z = 1; z < nz; ++z) {
-      point_row(z, 0);  // boundary row of the plane
-      std::size_t y = 1;
-      for (; y + W <= ny; y += W)
-        kernels::lorenzo_quant_wavefront3<T, W>(
-            data.data(), recon, codes, z * g.stride_z + y * g.stride_y, nx,
-            g.stride_y, g.stride_z, eb, two_eb, threshold, radius_i);
-      for (; y < ny; ++y) {  // remainder rows: x == 0 point + interior run
-        const std::size_t i0 = z * g.stride_z + y * g.stride_y;
-        const double pred = kernels::lorenzo_predict(
-            recon, nd, g.stride_y, g.stride_z, z, y, 0, i0);
-        const auto qs = kernels::quantize_point<T>(data[i0], pred, eb,
-                                                   two_eb, threshold,
-                                                   radius_i);
-        codes[i0] = qs.code;
-        recon[i0] = qs.recon;
-        if (nx > 1)
-          kernels::lorenzo_quant_run<3>(data.data(), recon, codes, i0 + 1,
-                                        nx - 1, g.stride_y, g.stride_z, eb,
-                                        two_eb, threshold, radius_i);
-      }
-    }
-    return;
-  }
-
-  std::size_t idx = 0;
-  for (std::size_t z = 0; z < nz; ++z)
-    for (std::size_t y = 0; y < ny; ++y, idx += nx) {
-      const bool boundary_row = (nd >= 2 && y == 0) || (nd == 3 && z == 0);
-      std::size_t x = 0;
-      while (x < nx) {
-        const std::size_t xe =
-            pwr ? std::min(nx, (x / g.edge + 1) * g.edge) : nx;
-        const double eb =
-            pwr ? block_bound(bound, exps[g.block_of(z, y, x)]) : bound;
-        const double two_eb = 2.0 * eb;
-        const double threshold = rad2 * eb;
-        std::size_t xs = x;
-        const std::size_t run_start =
-            boundary_row ? xe : std::max<std::size_t>(xs, 1);
-        for (; xs < run_start; ++xs) {
-          const std::size_t i = idx + xs;
-          const double pred = kernels::lorenzo_predict(
-              recon, nd, g.stride_y, g.stride_z, z, y, xs, i);
-          const auto qs = kernels::quantize_point<T>(data[i], pred, eb,
-                                                     two_eb, threshold,
-                                                     radius_i);
-          codes[i] = qs.code;
-          recon[i] = qs.recon;
-        }
-        if (xs < xe) {
-          const std::size_t i0 = idx + xs;
-          const std::size_t len = xe - xs;
-          if (nd == 1)
-            kernels::lorenzo_quant_run<1>(data.data(), recon, codes, i0, len,
-                                          g.stride_y, g.stride_z, eb, two_eb,
-                                          threshold, radius_i);
-          else if (nd == 2)
-            kernels::lorenzo_quant_run<2>(data.data(), recon, codes, i0, len,
-                                          g.stride_y, g.stride_z, eb, two_eb,
-                                          threshold, radius_i);
-          else
-            kernels::lorenzo_quant_run<3>(data.data(), recon, codes, i0, len,
-                                          g.stride_y, g.stride_z, eb, two_eb,
-                                          threshold, radius_i);
-        }
-        x = xe;
-      }
-    }
-}
-
-/// Decode mirror of encode_sweep_tiled. Returns the number of outliers
-/// consumed (the caller checks the stream is fully drained).
+/// segments in PWR mode) whose interior points run the sliding-stencil
+/// kernel; x == 0 and reduced-stencil boundary rows (first row of a plane,
+/// first plane) keep the checked per-point path. Every point evaluates the
+/// same expressions as the per-point sweep, so recon is bit-identical.
+/// Returns the number of outliers consumed (the caller checks the stream
+/// is fully drained).
 template <typename T>
 std::size_t decode_sweep_tiled(const std::uint32_t* codes, const Geometry& g,
                                Mode mode, double bound,
@@ -403,32 +293,41 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
 
   {
     obs::Span predict_span("predict");
-    if (kernels::active() == kernels::Dispatch::kNative) {
-      encode_sweep_tiled<T>(data, g, p.mode, p.bound, exps, radius,
-                            codes.data(), recon.data());
-      // The sweep only marks outliers; gather their values in the same
-      // raster order the per-point path pushes them.
-      for (std::size_t i = 0; i < codes.size(); ++i)
-        if (codes[i] == 0) outliers.push_back(data[i]);
-    } else {
-      std::size_t idx = 0;
-      for (std::size_t z = 0; z < nz; ++z)
-        for (std::size_t y = 0; y < ny; ++y)
-          for (std::size_t x = 0; x < nx; ++x, ++idx) {
-            const double eb =
-                pwr ? block_bound(p.bound, exps[g.block_of(z, y, x)])
-                    : p.bound;
-            const double pred =
-                lorenzo_predict(recon.data(), g, z, y, x, idx);
-            const auto qs = kernels::quantize_point<T>(
-                data[idx], pred, eb, 2.0 * eb,
-                (static_cast<double>(radius) - 0.5) * 2.0 * eb,
-                static_cast<std::int64_t>(radius));
-            codes[idx] = qs.code;
-            recon[idx] = qs.recon;
-            if (qs.code == 0) outliers.push_back(data[idx]);
-          }
-    }
+    const auto radius_i = static_cast<std::int64_t>(radius);
+    const double rad2 = (static_cast<double>(radius) - 0.5) * 2.0;
+    const auto point_row = [&](std::size_t z, std::size_t y) {
+      std::size_t idx = (z * ny + y) * nx;
+      for (std::size_t x = 0; x < nx; ++x, ++idx) {
+        const double eb =
+            pwr ? block_bound(p.bound, exps[g.block_of(z, y, x)]) : p.bound;
+        const double pred = lorenzo_predict(recon.data(), g, z, y, x, idx);
+        const auto qs = kernels::quantize_point<T>(
+            data[idx], pred, eb, 2.0 * eb, rad2 * eb, radius_i);
+        codes[idx] = qs.code;
+        recon[idx] = qs.recon;
+      }
+    };
+    // Native kAbs 3-D fields advance W interior rows at a time in a
+    // staggered front (kernels::lorenzo_quant_wavefront3); boundary planes,
+    // boundary rows and the remainder rows run the per-point sweep.
+    constexpr int W = kWavefrontRows;
+    const bool wavefront = kernels::active() == kernels::Dispatch::kNative &&
+                           dims.nd == 3 && !pwr && nx >= W;
+    for (std::size_t z = 0; z < nz; ++z)
+      for (std::size_t y = 0; y < ny;) {
+        if (wavefront && z > 0 && y > 0 && y + W <= ny) {
+          kernels::lorenzo_quant_wavefront3<T, W>(
+              data.data(), recon.data(), codes.data(),
+              z * g.stride_z + y * g.stride_y, nx, g.stride_y, g.stride_z,
+              p.bound, 2.0 * p.bound, rad2 * p.bound, radius_i);
+          y += W;
+        } else {
+          point_row(z, y++);
+        }
+      }
+    // The sweep only marks outliers; gather their values in raster order.
+    for (std::size_t i = 0; i < codes.size(); ++i)
+      if (codes[i] == 0) outliers.push_back(data[i]);
   }
   obs::counter_add("sz.outliers", outliers.size());
   // The sweep's reconstruction is bit for bit what decompress() rebuilds.

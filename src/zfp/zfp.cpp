@@ -11,8 +11,6 @@
 #include "common/decode_guard.h"
 #include "common/error.h"
 #include "common/numeric.h"
-#include "kernels/dispatch.h"
-#include "kernels/zfp_lift.h"
 #include "obs/obs.h"
 
 namespace transpwr {
@@ -87,13 +85,6 @@ void inv_lift(Int* p, std::size_t s) {
 
 template <typename Int>
 void fwd_xform(Int* b, int nd) {
-  // The kernel-layer block transform is the same exact integer arithmetic
-  // restructured into lane-parallel passes, so both dispatches produce
-  // identical coefficients (and therefore identical streams).
-  if (kernels::active() == kernels::Dispatch::kNative) {
-    kernels::zfp_fwd_xform_block(b, nd);
-    return;
-  }
   switch (nd) {
     case 1:
       fwd_lift(b, 1);
@@ -115,10 +106,6 @@ void fwd_xform(Int* b, int nd) {
 
 template <typename Int>
 void inv_xform(Int* b, int nd) {
-  if (kernels::active() == kernels::Dispatch::kNative) {
-    kernels::zfp_inv_xform_block(b, nd);
-    return;
-  }
   switch (nd) {
     case 1:
       inv_lift(b, 1);
@@ -318,12 +305,8 @@ void decode_one_block(BitReader& br, const DecodeCtx& ctx, T* vals) {
 
   std::array<Int, 64> ints{};
   const std::uint8_t* pm = perm(ctx.nd);
-  if (kernels::active() == kernels::Dispatch::kNative)
-    kernels::zfp_uint2int_scatter(uints.data(), ints.data(), pm, ctx.bsize,
-                                  Traits<T>::nbmask);
-  else
-    for (unsigned i = 0; i < ctx.bsize; ++i)
-      ints[pm[i]] = uint2int<T>(uints[i]);
+  for (unsigned i = 0; i < ctx.bsize; ++i)
+    ints[pm[i]] = uint2int<T>(uints[i]);
   inv_xform(ints.data(), ctx.nd);
   // Saturating cast: a corrupt exponent field can put the rescaled
   // coefficient far outside T's finite range.
@@ -402,12 +385,8 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
           fwd_xform(ints.data(), nd);
 
           const std::uint8_t* pm = perm(nd);
-          if (kernels::active() == kernels::Dispatch::kNative)
-            kernels::zfp_int2uint_gather(ints.data(), uints.data(), pm, bsize,
-                                         Traits<T>::nbmask);
-          else
-            for (unsigned i = 0; i < bsize; ++i)
-              uints[i] = int2uint<T>(ints[pm[i]]);
+          for (unsigned i = 0; i < bsize; ++i)
+            uints[i] = int2uint<T>(ints[pm[i]]);
 
           unsigned n = 0;
           for (int k = intprec; static_cast<unsigned>(k--) > kmin;) {

@@ -18,7 +18,6 @@
 #include "lossless/blocked_huffman.h"
 #include "sz/interp.h"
 #include "sz/sz.h"
-#include "zfp/zfp.h"
 
 namespace transpwr {
 namespace {
@@ -76,17 +75,28 @@ void expect_dispatch_invariant(Compress&& compress, Decompress&& decompress) {
 }
 
 TEST(DispatchDeterminism, SzAbs3D) {
-  auto data = adversarial_field(24 * 18 * 20, 111);
-  Dims dims(24, 18, 20);
-  sz::Params p;
-  p.mode = sz::Mode::kAbs;
-  p.bound = 1e-3;
-  p.threads = 1;
-  expect_dispatch_invariant(
-      [&] { return sz::compress<float>(data, dims, p); },
-      [&](const std::vector<std::uint8_t>& s) {
-        return sz::decompress<float>(s, nullptr, 1);
-      });
+  // Native 3-D kAbs encode runs the wavefront over groups of 4 interior
+  // rows when nx >= 4 and the per-point sweep everywhere else. The shape
+  // table reaches its edges: one plane (no interior rows), no group, one
+  // group, groups with 1-3 remainder rows, and nx below, at and above the
+  // group width.
+  std::vector<Dims> shapes = {Dims(24, 18, 20)};
+  for (std::size_t nz : {1, 2, 3})
+    for (std::size_t ny = 1; ny <= 9; ++ny)
+      for (std::size_t nx : {1, 3, 4, 5, 20}) shapes.emplace_back(nz, ny, nx);
+  for (const Dims& dims : shapes) {
+    SCOPED_TRACE(dims.to_string());
+    auto data = adversarial_field(dims.count(), 111 + dims.count());
+    sz::Params p;
+    p.mode = sz::Mode::kAbs;
+    p.bound = 1e-3;
+    p.threads = 1;
+    expect_dispatch_invariant(
+        [&] { return sz::compress<float>(data, dims, p); },
+        [&](const std::vector<std::uint8_t>& s) {
+          return sz::decompress<float>(s, nullptr, 1);
+        });
+  }
 }
 
 TEST(DispatchDeterminism, SzPwrBlock2D) {
@@ -127,20 +137,6 @@ TEST(DispatchDeterminism, Interp3D) {
       [&] { return sz_interp::compress<float>(data, dims, p); },
       [&](const std::vector<std::uint8_t>& s) {
         return sz_interp::decompress<float>(s, nullptr, 1);
-      });
-}
-
-TEST(DispatchDeterminism, Zfp3D) {
-  // ZFP rejects non-finite but handles the rest; strip nothing else.
-  auto data = adversarial_field(19 * 15 * 9, 666);
-  Dims dims(19, 15, 9);
-  zfp::Params p;
-  p.mode = zfp::Mode::kAccuracy;
-  p.tolerance = 1e-3;
-  expect_dispatch_invariant(
-      [&] { return zfp::compress<float>(data, dims, p); },
-      [&](const std::vector<std::uint8_t>& s) {
-        return zfp::decompress<float>(s, nullptr);
       });
 }
 

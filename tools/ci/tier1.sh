@@ -27,11 +27,23 @@ run_config() {
 # Both build with -Werror: the tree compiles warning-free under
 # -Wall -Wextra, and a new warning fails tier-1 instead of piling up.
 run_config baseline -DCMAKE_CXX_FLAGS=-Werror
+
+# The byte pins again with the reference dispatch chosen by the process
+# environment: every Scheme's bytes, the golden v1/v2 streams and the
+# thread-count identity must hold for kGeneric as a process setting, not
+# only under the in-process overrides of the kernels label.
+echo "=== tier-1 [baseline]: byte pins, TRANSPWR_KERNELS=generic ==="
+for t in test_scheme_pins test_golden_v1 test_golden_v2 \
+  test_thread_determinism; do
+  TRANSPWR_KERNELS=generic "$root/baseline/tests/$t"
+done
+
 run_config native -DTRANSPWR_NATIVE=ON -DCMAKE_CXX_FLAGS=-Werror
 
 # ASan+UBSan fuzz soak against the native kernels: every decoder fed
-# mutated streams with the fast paths (pair-table Huffman, tiled Lorenzo,
-# batched zfp lifts) active. Iteration count overridable for quick local runs.
+# mutated streams with the fast paths (pair-table Huffman, wavefront
+# Lorenzo encode, tiled Lorenzo decode) active. Iteration count overridable
+# for quick local runs.
 echo "=== tier-1 [asan-ubsan]: fuzz soak, native kernels ==="
 asan="$root/asan-ubsan"
 iters="${TRANSPWR_CI_FUZZ_ITERS:-10000}"
