@@ -92,7 +92,7 @@ void BM_LogInverse(benchmark::State& state) {
 BENCHMARK(BM_LogInverse)->Arg(2)->Arg(3)->Arg(10)->UseRealTime();
 
 // SZ kAbs over the log-mapped 3-D field: the native encode runs the
-// wavefront, the native decode the tiled runs.
+// wavefront, the native decode the row sweep's interior runs.
 void BM_SzCompress(benchmark::State& state) {
   kernels::ScopedDispatch scoped(dispatch_arg(state, 0));
   const auto& tr = mapped_field();
@@ -122,7 +122,8 @@ void BM_SzDecompress(benchmark::State& state) {
 }
 BENCHMARK(BM_SzDecompress)->ArgName("native")->Arg(0)->Arg(1)->UseRealTime();
 
-// SZ PWR decode of a 2-D field: block-edge-aligned tiled runs under native.
+// SZ PWR decode of a 2-D field: under native the row sweep's interior runs,
+// one per block-edge-aligned segment.
 void BM_SzPwr2DDecompress(benchmark::State& state) {
   kernels::ScopedDispatch scoped(dispatch_arg(state, 0));
   static const Field<float> f =

@@ -146,6 +146,10 @@ std::vector<T> transformed_decompress(std::span<const std::uint8_t> stream,
     auto raw = lossless::decompress(sign_bytes, threads);
     BitReader br(raw);
     negative = rle::decode_bits(br);
+    // log_inverse_into refuses a mismatched bitmap as a caller error; here
+    // it can only come from a corrupt stream.
+    if (negative.size() != mapped.size())
+      throw StreamError("transformed: sign bitmap size does not match payload");
   }
   log_inverse_into<T>(mapped, negative, base, zero_threshold, mapped,
                       threads, exp_path_for(log_kernel));

@@ -5,15 +5,17 @@
 //    the single source of truth for the stencil and the quantizer
 //    arithmetic, verbatim the expressions the codecs carried before the
 //    kernel layer existed. Streams stay bit-identical. Every encode point
-//    outside the wavefront, under either dispatch, runs these.
+//    outside the wavefront and every decode point outside an interior run,
+//    under either dispatch, runs these.
 //
 //  - The 3-D wavefront encode (lorenzo_quant_wavefront3): the one native
 //    encode fast path. It advances W interior rows in a staggered front so
 //    W reconstructed-value recurrences are in flight at once.
 //
-//  - Interior decode runs (lorenzo_recon_run): the native decode fast path
-//    over a contiguous x-run whose every point has a full stencil, with the
-//    row-above / plane-above loads hoisted into sliding locals.
+//  - Interior decode runs (lorenzo_recon_run): the native decode fast path.
+//    sz::decompress has one row sweep; under kNative it hands each
+//    constant-bound segment's full-stencil interior to this kernel, which
+//    keeps the row-above / plane-above loads in sliding locals.
 //
 // The fast paths evaluate the exact per-point expressions in an order that
 // respects every data dependency, so codes and reconstructed values match

@@ -49,12 +49,16 @@ std::vector<std::uint8_t> compress(std::span<const T> data, Dims dims,
                                    std::vector<T>* recon_out = nullptr);
 
 /// Decompress a stream produced by compress(). The stream is
-/// self-describing; `dims_out` receives the original shape. Streams carry
-/// a version marker: v2 streams decode the entropy blocks in parallel
-/// (`threads`), v1 streams from older writers still decode serially. The
-/// decoder also reads what older writers could vary: the stored interval
-/// count and block edge, and the v1-era hybrid Lorenzo/regression
-/// predictor (predictor byte 1).
+/// self-describing; `dims_out` receives the original shape. All codes are
+/// entropy-decoded up front: v2 streams decode their entropy blocks in
+/// parallel (`threads`), v1 bare-Huffman streams from older writers
+/// serially. One raster sweep then rebuilds the values, row by row; under
+/// native dispatch the full-stencil interior of each constant-bound row
+/// segment runs kernels::lorenzo_recon_run, with the same bytes as the
+/// per-point body. The decoder also reads what older writers could vary:
+/// the stored interval count and block edge, and the v1-era hybrid
+/// Lorenzo/regression predictor (predictor byte 1), which always takes the
+/// per-point body.
 template <typename T>
 std::vector<T> decompress(std::span<const std::uint8_t> stream,
                           Dims* dims_out = nullptr, std::size_t threads = 0);

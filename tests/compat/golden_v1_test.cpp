@@ -13,6 +13,7 @@
 #include "common/checksum.h"
 #include "common/types.h"
 #include "core/transformed.h"
+#include "kernels/dispatch.h"
 #include "lossless/lossless.h"
 #include "sz/interp.h"
 #include "sz/sz.h"
@@ -40,40 +41,59 @@ std::uint64_t payload_fnv(const std::vector<T>& v) {
                   v.size() * sizeof(T)});
 }
 
+// Runs `decode` under each kernel dispatch in-process: the SZ decode sweep
+// takes its native interior runs on pure-Lorenzo v1 streams too.
+template <typename Decode>
+void under_both_dispatches(Decode&& decode) {
+  for (auto d : {kernels::Dispatch::kGeneric, kernels::Dispatch::kNative}) {
+    SCOPED_TRACE(kernels::name(d));
+    kernels::ScopedDispatch scoped(d);
+    decode();
+  }
+}
+
 TEST(GoldenV1, SzAbsFloat) {
   auto stream = load("sz_abs_f32.v1");
   ASSERT_FALSE(stream.empty());
-  Dims dims;
-  auto out = sz::decompress<float>(stream, &dims);
-  EXPECT_EQ(dims, Dims(37, 21));
-  EXPECT_EQ(payload_fnv(out), 0xae7cfbeca74f8113ULL);
+  under_both_dispatches([&] {
+    Dims dims;
+    auto out = sz::decompress<float>(stream, &dims);
+    EXPECT_EQ(dims, Dims(37, 21));
+    EXPECT_EQ(payload_fnv(out), 0xae7cfbeca74f8113ULL);
+  });
 }
 
 TEST(GoldenV1, SzPwrBlockDouble) {
   auto stream = load("sz_pwr_f64.v1");
   ASSERT_FALSE(stream.empty());
-  Dims dims;
-  auto out = sz::decompress<double>(stream, &dims);
-  EXPECT_EQ(dims, Dims(700));
-  EXPECT_EQ(payload_fnv(out), 0xb310478236a4ef9eULL);
+  under_both_dispatches([&] {
+    Dims dims;
+    auto out = sz::decompress<double>(stream, &dims);
+    EXPECT_EQ(dims, Dims(700));
+    EXPECT_EQ(payload_fnv(out), 0xb310478236a4ef9eULL);
+  });
 }
 
 TEST(GoldenV1, SzAutoPredictorFloat) {
   auto stream = load("sz_auto_f32.v1");
   ASSERT_FALSE(stream.empty());
-  Dims dims;
-  auto out = sz::decompress<float>(stream, &dims);
-  EXPECT_EQ(dims, Dims(12, 10, 14));
-  EXPECT_EQ(payload_fnv(out), 0x0d34a0fa70f7aaedULL);
+  under_both_dispatches([&] {
+    Dims dims;
+    auto out = sz::decompress<float>(stream, &dims);
+    EXPECT_EQ(dims, Dims(12, 10, 14));
+    EXPECT_EQ(payload_fnv(out), 0x0d34a0fa70f7aaedULL);
+  });
 }
 
 TEST(GoldenV1, InterpFloat) {
   auto stream = load("interp_f32.v1");
   ASSERT_FALSE(stream.empty());
-  Dims dims;
-  auto out = sz_interp::decompress<float>(stream, &dims);
-  EXPECT_EQ(dims, Dims(17, 9, 11));
-  EXPECT_EQ(payload_fnv(out), 0xb9515b936a62cba4ULL);
+  under_both_dispatches([&] {
+    Dims dims;
+    auto out = sz_interp::decompress<float>(stream, &dims);
+    EXPECT_EQ(dims, Dims(17, 9, 11));
+    EXPECT_EQ(payload_fnv(out), 0xb9515b936a62cba4ULL);
+  });
 }
 
 TEST(GoldenV1, LosslessLz77Method1) {
@@ -88,10 +108,12 @@ TEST(GoldenV1, LosslessLz77Method1) {
 TEST(GoldenV1, SzTransformedFloat) {
   auto stream = load("szt_f32.v1");
   ASSERT_FALSE(stream.empty());
-  Dims dims;
-  auto out = transformed_decompress<float>(stream, &dims);
-  EXPECT_EQ(dims, Dims(24, 18));
-  EXPECT_EQ(payload_fnv(out), 0x99475ff3285960a5ULL);
+  under_both_dispatches([&] {
+    Dims dims;
+    auto out = transformed_decompress<float>(stream, &dims);
+    EXPECT_EQ(dims, Dims(24, 18));
+    EXPECT_EQ(payload_fnv(out), 0x99475ff3285960a5ULL);
+  });
 }
 
 }  // namespace

@@ -7,9 +7,14 @@
 #include <tuple>
 #include <vector>
 
+#include "common/bitmap.h"
+#include "common/bitstream.h"
+#include "common/bytestream.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "data/generators.h"
+#include "lossless/lossless.h"
+#include "lossless/rle.h"
 #include "metrics/metrics.h"
 #include "obs/obs.h"
 
@@ -172,6 +177,36 @@ TEST(Transformed, CorruptStreamThrows) {
   bad[0] ^= 0xff;
   EXPECT_THROW(transformed_decompress<float>(bad), StreamError);
   EXPECT_THROW(transformed_decompress<double>(stream), StreamError);
+}
+
+TEST(Transformed, SignSectionLongerThanPayloadIsAStreamError) {
+  // Rebuild a TRT1 stream with one extra bit in its sign section: the
+  // decoder must report corruption (StreamError), not a caller error.
+  auto f = gen::nyx_velocity(Dims(8, 6, 5), 3);  // signed: has a sign section
+  auto stream = transformed_compress<float>(f.span(), f.dims, InnerCodec::kSz,
+                                            TransformedParams{});
+  ByteReader in(stream);
+  ByteWriter out;
+  out.put(in.get<std::uint32_t>());  // magic
+  out.put(in.get<std::uint8_t>());   // dtype
+  out.put(in.get<std::uint8_t>());   // inner codec
+  ASSERT_EQ(in.get<std::uint8_t>(), 1u) << "expected a sign section";
+  out.put(std::uint8_t{1});
+  out.put(in.get<std::uint8_t>());  // log kernel
+  out.put(in.get<double>());        // base
+  out.put(in.get<double>());        // zero threshold
+  auto raw = lossless::decompress(in.get_sized());
+  BitReader br(raw);
+  const Bitmap signs = rle::decode_bits(br);
+  ASSERT_EQ(signs.size(), f.dims.count());
+  Bitmap longer(signs.size() + 1);
+  for (std::size_t i = 0; i < signs.size(); ++i)
+    if (signs[i]) longer.set(i);
+  BitWriter bw;
+  rle::encode_bits(longer, bw);
+  out.put_sized(lossless::compress(bw.take()));
+  out.put_sized(in.get_sized());  // inner payload, unchanged
+  EXPECT_THROW(transformed_decompress<float>(out.take()), StreamError);
 }
 
 // The paper's headline property, swept across bounds x bases x codecs on a

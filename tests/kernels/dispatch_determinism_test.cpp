@@ -74,7 +74,38 @@ void expect_dispatch_invariant(Compress&& compress, Decompress&& decompress) {
                            out_g.size() * sizeof(out_g[0])));
 }
 
-TEST(DispatchDeterminism, SzAbs3D) {
+// One SZ stream per dispatch from `dims`, in both modes and both element
+// types, each decoded under both dispatches. The decode row sweep runs
+// lorenzo_recon_run over each constant-bound segment's interior under
+// kNative and the per-point body everywhere under kGeneric; PWR segments
+// end at block edges (32 / 12 / 8 for 1-/2-/3-D), so shapes whose nx is
+// not a multiple of the edge end a row on a partial segment. The
+// adversarial field puts outliers inside the runs.
+void expect_sz_invariant(const Dims& dims, std::uint64_t seed) {
+  SCOPED_TRACE(dims.to_string());
+  const auto dataf = adversarial_field(dims.count(), seed);
+  const std::vector<double> datad(dataf.begin(), dataf.end());
+  for (sz::Mode mode : {sz::Mode::kAbs, sz::Mode::kPwrBlock}) {
+    SCOPED_TRACE(mode == sz::Mode::kAbs ? "abs" : "pwr");
+    sz::Params p;
+    p.mode = mode;
+    p.bound = 1e-3;
+    p.threads = 1;
+    expect_dispatch_invariant(
+        [&] { return sz::compress<float>(dataf, dims, p); },
+        [&](const std::vector<std::uint8_t>& s) {
+          return sz::decompress<float>(s, nullptr, 1);
+        });
+    if (mode == sz::Mode::kAbs) p.bound = 1e-6;
+    expect_dispatch_invariant(
+        [&] { return sz::compress<double>(datad, dims, p); },
+        [&](const std::vector<std::uint8_t>& s) {
+          return sz::decompress<double>(s, nullptr, 1);
+        });
+  }
+}
+
+TEST(DispatchDeterminism, Sz3D) {
   // Native 3-D kAbs encode runs the wavefront over groups of 4 interior
   // rows when nx >= 4 and the per-point sweep everywhere else. The shape
   // table reaches its edges: one plane (no interior rows), no group, one
@@ -84,47 +115,19 @@ TEST(DispatchDeterminism, SzAbs3D) {
   for (std::size_t nz : {1, 2, 3})
     for (std::size_t ny = 1; ny <= 9; ++ny)
       for (std::size_t nx : {1, 3, 4, 5, 20}) shapes.emplace_back(nz, ny, nx);
-  for (const Dims& dims : shapes) {
-    SCOPED_TRACE(dims.to_string());
-    auto data = adversarial_field(dims.count(), 111 + dims.count());
-    sz::Params p;
-    p.mode = sz::Mode::kAbs;
-    p.bound = 1e-3;
-    p.threads = 1;
-    expect_dispatch_invariant(
-        [&] { return sz::compress<float>(data, dims, p); },
-        [&](const std::vector<std::uint8_t>& s) {
-          return sz::decompress<float>(s, nullptr, 1);
-        });
-  }
+  for (const Dims& dims : shapes) expect_sz_invariant(dims, 111 + dims.count());
 }
 
-TEST(DispatchDeterminism, SzPwrBlock2D) {
-  auto data = adversarial_field(61 * 47, 222);
-  Dims dims(61, 47);
-  sz::Params p;
-  p.mode = sz::Mode::kPwrBlock;
-  p.bound = 1e-3;
-  p.threads = 1;
-  expect_dispatch_invariant(
-      [&] { return sz::compress<float>(data, dims, p); },
-      [&](const std::vector<std::uint8_t>& s) {
-        return sz::decompress<float>(s, nullptr, 1);
-      });
+TEST(DispatchDeterminism, Sz2D) {
+  expect_sz_invariant(Dims(61, 47), 222);
+  for (const Dims& dims : {Dims(1, 30), Dims(2, 13), Dims(7, 1), Dims(25, 24)})
+    expect_sz_invariant(dims, 222 + dims.count());
 }
 
-TEST(DispatchDeterminism, SzAbs1DDouble) {
-  auto dataf = adversarial_field(3001, 444);
-  std::vector<double> data(dataf.begin(), dataf.end());
-  Dims dims(3001);
-  sz::Params p;
-  p.bound = 1e-6;
-  p.threads = 1;
-  expect_dispatch_invariant(
-      [&] { return sz::compress<double>(data, dims, p); },
-      [&](const std::vector<std::uint8_t>& s) {
-        return sz::decompress<double>(s, nullptr, 1);
-      });
+TEST(DispatchDeterminism, Sz1D) {
+  expect_sz_invariant(Dims(3001), 444);
+  for (const Dims& dims : {Dims(1), Dims(33), Dims(64)})
+    expect_sz_invariant(dims, 444 + dims.count());
 }
 
 TEST(DispatchDeterminism, Interp3D) {

@@ -42,8 +42,8 @@ run_config native -DTRANSPWR_NATIVE=ON -DCMAKE_CXX_FLAGS=-Werror
 
 # ASan+UBSan fuzz soak against the native kernels: every decoder fed
 # mutated streams with the fast paths (pair-table Huffman, wavefront
-# Lorenzo encode, tiled Lorenzo decode) active. Iteration count overridable
-# for quick local runs.
+# Lorenzo encode, the decode row sweep's interior runs) active. Iteration
+# count overridable for quick local runs.
 echo "=== tier-1 [asan-ubsan]: fuzz soak, native kernels ==="
 asan="$root/asan-ubsan"
 iters="${TRANSPWR_CI_FUZZ_ITERS:-10000}"
@@ -107,12 +107,15 @@ cmake --build "$asan" --target test_registry test_cli -j "$jobs"
 # refuses every header mode byte its writer never emits (including the
 # SZ-interp linear fit byte), the v1 goldens decode the kept compat paths
 # (the SZ hybrid predictor among them), the transform container runs its
-# in-place inverse (encoder-side reconstruction and decode), and the
-# scheme pins check every Scheme's bytes plus those refusals end to end.
+# in-place inverse (encoder-side reconstruction and decode), the scheme
+# pins check every Scheme's bytes plus those refusals end to end, and the
+# dispatch-determinism suite runs both dispatches' encode and decode sweeps
+# (the interior-run kernel and its outlier-stream checks among them).
 echo "=== tier-1 [asan-ubsan]: baseline codec + scheme pins smoke ==="
 cmake --build "$asan" \
   --target test_zfp test_fpzip test_isabela test_sz test_sz_interp \
-  test_transformed test_golden_v1 test_scheme_pins -j "$jobs"
+  test_transformed test_golden_v1 test_scheme_pins test_dispatch_determinism \
+  -j "$jobs"
 "$asan/tests/test_zfp"
 "$asan/tests/test_fpzip"
 "$asan/tests/test_isabela"
@@ -121,5 +124,6 @@ cmake --build "$asan" \
 "$asan/tests/test_transformed"
 "$asan/tests/test_golden_v1"
 "$asan/tests/test_scheme_pins"
+"$asan/tests/test_dispatch_determinism"
 
 echo "tier-1: all configurations green"
